@@ -10,17 +10,6 @@ namespace mpn {
 
 namespace {
 
-// Maximum displacement of user j from her current location within her
-// region, including (for user_i) the tile under test: r_up in Theorems 3/6.
-// Runs the SoA lane reduction over the region's coordinate lanes;
-// value-identical to folding Rect::MaxDist tile by tile.
-double UserMaxDisplacement(const TileRegion& region, const Point& user,
-                           const Rect* extra_tile) {
-  double r = RectMaxDistReduce(region.lanes(), user);
-  if (extra_tile != nullptr) r = std::max(r, extra_tile->MaxDist(user));
-  return r;
-}
-
 // Normalizes candidate order across index layouts: the traversal emits in
 // layout order, but the verify loop early-exits per candidate and its
 // counters go into the result digest, so the scan order must be a function
@@ -30,7 +19,47 @@ void SortCandidatesById(std::vector<Candidate>* out) {
             [](const Candidate& a, const Candidate& b) { return a.id < b.id; });
 }
 
+// True when every bound of `child` is <= the matching bound of `parent`.
+bool BoundsWithin(const std::vector<double>& child,
+                  const std::vector<double>& parent) {
+  if (child.size() != parent.size()) return false;
+  for (size_t j = 0; j < child.size(); ++j) {
+    if (child[j] > parent[j]) return false;
+  }
+  return true;
+}
+
 }  // namespace
+
+TileSnapshot::TileSnapshot(std::vector<TileRegion> regions,
+                           std::vector<Point> users, const Point& po)
+    : regions_(std::move(regions)),
+      users_(std::move(users)),
+      po_(po),
+      derived_(regions_.size()) {
+  MPN_ASSERT(users_.size() == regions_.size());
+  for (size_t j = 0; j < regions_.size(); ++j) {
+    for (size_t k = 0; k < regions_[j].size(); ++k) Fold(j, k);
+  }
+}
+
+void TileSnapshot::Add(size_t j, const GridTile& t) {
+  regions_[j].Add(t);
+  Fold(j, regions_[j].size() - 1);
+}
+
+void TileSnapshot::Fold(size_t j, size_t k) {
+  const RectLanes all = regions_[j].lanes();
+  const RectLanes tile{all.lo_x + k, all.lo_y + k, all.hi_x + k, all.hi_y + k,
+                       1};
+  double to_po = 0.0, to_user = 0.0;
+  RectMaxDistLanes(tile, po_, &to_po);
+  RectMaxDistLanes(tile, users_[j], &to_user);
+  Derived& d = derived_[j];
+  d.max_po.push_back(to_po);
+  d.top = std::max(d.top, to_po);
+  d.r_up = std::max(d.r_up, to_user);
+}
 
 FreshCandidateSource::FreshCandidateSource(SpatialIndex tree,
                                            const std::vector<Point>* users,
@@ -41,77 +70,82 @@ FreshCandidateSource::FreshCandidateSource(SpatialIndex tree,
       obj_(obj),
       po_id_(po_id),
       po_(po),
+      po_sum_(AggDist(po, *users, Objective::kSum)),
       use_pruning_(use_pruning) {}
 
-bool FreshCandidateSource::GetCandidates(
-    const std::vector<TileRegion>& regions, size_t user_i, const Rect& s,
-    std::vector<Candidate>* out) {
-  out->clear();
+bool FreshCandidateSource::GetCandidates(const TileSnapshot& snap,
+                                         size_t user_i, const Rect& s,
+                                         const CandidateSet* parent,
+                                         CandidateSet* out) {
+  std::vector<Candidate>& items = out->items;
+  std::vector<double>& bound = out->bound;
+  items.clear();
+  bound.clear();
   ++stats_.retrievals;
   const std::vector<Point>& users = *users_;
   const size_t m = users.size();
-  MPN_DCHECK(regions.size() == m);
+  MPN_DCHECK(snap.users() == m);
   // Tight per-call delta on the calling thread (see node_accesses()).
   const uint64_t accesses_before = tree_.node_accesses();
 
   if (!use_pruning_) {  // ablation baseline: every non-result POI
     tree_.Traverse([](const Rect&) { return true; },
                    [&](const Point& p, uint32_t id) {
-                     if (id != po_id_) out->push_back({id, p});
+                     if (id != po_id_) items.push_back({id, p});
                    });
-    SortCandidatesById(out);
-    stats_.candidates_total += out->size();
+    SortCandidatesById(&items);
+    stats_.candidates_total += items.size();
     node_accesses_ += tree_.node_accesses() - accesses_before;
     return true;
   }
 
   // Per-user displacement bounds r_up (tile s counts for user_i).
-  bound_.resize(m);
-  for (size_t j = 0; j < m; ++j) {
-    bound_[j] =
-        UserMaxDisplacement(regions[j], users[j], j == user_i ? &s : nullptr);
-  }
-
+  bound.resize(m);
+  for (size_t j = 0; j < m; ++j) bound[j] = snap.r_up(j);
+  bound[user_i] = std::max(bound[user_i], s.MaxDist(users[user_i]));
   if (obj_ == Objective::kMax) {
     // Theorem 3: p survives iff ||p,u_j|| <= ||po,R||_top + r_up_j for all j.
     double top = s.MaxDist(po_);
-    for (size_t j = 0; j < m; ++j) {
-      if (!regions[j].empty()) top = std::max(top, regions[j].MaxDist(po_));
-    }
-    for (size_t j = 0; j < m; ++j) bound_[j] = top + bound_[j];
-    tree_.Traverse(
-        [&](const Rect& mbr) {
-          for (size_t j = 0; j < m; ++j) {
-            if (mbr.MinDist(users[j]) > bound_[j]) return false;
-          }
-          return true;
-        },
-        [&](const Point& p, uint32_t id) {
-          if (id == po_id_) return;
-          for (size_t j = 0; j < m; ++j) {
-            if (Dist(p, users[j]) > bound_[j]) return;
-          }
-          out->push_back({id, p});
-        });
+    for (size_t j = 0; j < m; ++j) top = std::max(top, snap.top(j));
+    for (size_t j = 0; j < m; ++j) bound[j] = top + bound[j];
   } else {
     // Theorem 6: p survives iff ||p,U||_sum <= ||po,U||_sum + 2*sum_j r_up_j.
     double sum_r = 0.0;
-    for (size_t j = 0; j < m; ++j) sum_r += bound_[j];
-    const double bound = AggDist(po_, users, Objective::kSum) + 2.0 * sum_r;
-    tree_.Traverse(
-        [&](const Rect& mbr) {
-          return AggMinDist(mbr, users, Objective::kSum) <= bound;
-        },
-        [&](const Point& p, uint32_t id) {
-          if (id == po_id_) return;
-          if (AggDist(p, users, Objective::kSum) <= bound) {
-            out->push_back({id, p});
-          }
-        });
+    for (size_t j = 0; j < m; ++j) sum_r += bound[j];
+    bound.assign(1, po_sum_ + 2.0 * sum_r);
   }
-  SortCandidatesById(out);
-  stats_.candidates_total += out->size();
-  node_accesses_ += tree_.node_accesses() - accesses_before;
+  const auto survives = [&](const Point& p) {
+    if (obj_ == Objective::kSum) {
+      return AggDist(p, users, Objective::kSum) <= bound[0];
+    }
+    for (size_t j = 0; j < m; ++j) {
+      if (Dist(p, users[j]) > bound[j]) return false;
+    }
+    return true;
+  };
+
+  if (parent != nullptr && BoundsWithin(bound, parent->bound)) {
+    // The parent list is sorted by id and excludes po already.
+    for (const Candidate& c : parent->items) {
+      if (survives(c.p)) items.push_back(c);
+    }
+  } else {
+    const auto visit = [&](const Rect& mbr) {
+      if (obj_ == Objective::kSum) {
+        return AggMinDist(mbr, users, Objective::kSum) <= bound[0];
+      }
+      for (size_t j = 0; j < m; ++j) {
+        if (mbr.MinDist(users[j]) > bound[j]) return false;
+      }
+      return true;
+    };
+    tree_.Traverse(visit, [&](const Point& p, uint32_t id) {
+      if (id != po_id_ && survives(p)) items.push_back({id, p});
+    });
+    SortCandidatesById(&items);
+    node_accesses_ += tree_.node_accesses() - accesses_before;
+  }
+  stats_.candidates_total += items.size();
   return true;
 }
 
@@ -141,21 +175,19 @@ double BufferedCandidateSource::Beta(int z) const {
   return betas_[static_cast<size_t>(z) - 1];
 }
 
-bool BufferedCandidateSource::GetCandidates(
-    const std::vector<TileRegion>& regions, size_t user_i, const Rect& s,
-    std::vector<Candidate>* out) {
-  out->clear();
+bool BufferedCandidateSource::GetCandidates(const TileSnapshot& snap,
+                                            size_t user_i, const Rect& s,
+                                            const CandidateSet* parent,
+                                            CandidateSet* out) {
+  (void)parent;
+  out->items.clear();
+  out->bound.clear();
   ++stats_.retrievals;
   const size_t m = users_.size();
-  MPN_DCHECK(regions.size() == m);
+  MPN_DCHECK(snap.users() == m);
   // Algorithm 5 line 1: the largest displacement any user can have.
   double dist = s.MaxDist(users_[user_i]);
-  for (size_t j = 0; j < m; ++j) {
-    if (!regions[j].empty()) {
-      dist = std::max(dist,
-                      UserMaxDisplacement(regions[j], users_[j], nullptr));
-    }
-  }
+  for (size_t j = 0; j < m; ++j) dist = std::max(dist, snap.r_up(j));
   // Minimum slot z with dist <= beta_z (binary search; betas are sorted).
   const auto it = std::lower_bound(betas_.begin(), betas_.end(), dist);
   if (it == betas_.end()) {
@@ -165,10 +197,10 @@ bool BufferedCandidateSource::GetCandidates(
   const int z = static_cast<int>(it - betas_.begin()) + 1;
   // Verify against P*_{1..z} - {po} = buffered points 2..z.
   for (int j = 1; j < z && static_cast<size_t>(j) < buffer_.size(); ++j) {
-    out->push_back({buffer_[static_cast<size_t>(j)].id,
-                    buffer_[static_cast<size_t>(j)].p});
+    out->items.push_back({buffer_[static_cast<size_t>(j)].id,
+                          buffer_[static_cast<size_t>(j)].p});
   }
-  stats_.candidates_total += out->size();
+  stats_.candidates_total += out->items.size();
   return true;
 }
 

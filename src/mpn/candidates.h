@@ -3,9 +3,11 @@
 // Divide-Verify (Algorithm 2) must test a tile against every POI that could
 // displace the current optimum. Two sources are provided:
 //
-//  * FreshCandidateSource — traverses the R-tree on every call, pruning
-//    with Theorem 3 (MAX) or Theorem 6 (SUM). Exact but touches the index
-//    repeatedly; this is the cost the Section-5.4 buffering removes.
+//  * FreshCandidateSource — prunes with Theorem 3 (MAX) or Theorem 6 (SUM).
+//    A top-level tile traverses the R-tree; a sub-tile filters its parent
+//    tile's candidates instead whenever its bounds are no larger. Exact
+//    either way; the traversals are the cost the Section-5.4 buffering
+//    removes.
 //
 //  * BufferedCandidateSource — retrieves the best b+1 GNNs once per safe-
 //    region computation and serves verification from that buffer using the
@@ -29,6 +31,69 @@ struct Candidate {
   Point p;
 };
 
+/// The tile regions of one Tile-MSR computation plus every value derived
+/// from them that cannot change during it. The optimum po and the user
+/// locations are fixed and tiles are only ever appended, so each tile's
+/// ||po,t||_max and ||u_j,t||_max are computed once, when the tile is
+/// added, with the RectMaxDistLanes formula (geom/lanes.h). The per-region
+/// maxima ||po,R_j||_max and r_up_j = ||u_j,R_j||_max are running maxima
+/// of those values: max is a selection and the correctly-rounded sqrt is
+/// monotone, so they equal a RectMaxDistReduce fold over the whole region
+/// bit for bit. Both candidate retrieval (the Theorem-3/6 bounds) and the
+/// SoA verification kernel (the hoisted ||po,t||_max lanes) read it.
+class TileSnapshot {
+ public:
+  /// Takes one region per user (tiles already in them are folded in).
+  TileSnapshot(std::vector<TileRegion> regions, std::vector<Point> users,
+               const Point& po);
+
+  /// Appends grid tile `t` to user j's region and folds it in.
+  void Add(size_t j, const GridTile& t);
+
+  size_t users() const { return regions_.size(); }
+  const std::vector<TileRegion>& regions() const { return regions_; }
+  const TileRegion& region(size_t j) const { return regions_[j]; }
+  const Point& user(size_t j) const { return users_[j]; }
+  const Point& po() const { return po_; }
+
+  /// Per-tile ||po,t||_max of user j's tiles, parallel to region(j).lanes().
+  const double* max_po(size_t j) const { return derived_[j].max_po.data(); }
+
+  /// ||po,R_j||_max; 0 for an empty region.
+  double top(size_t j) const { return derived_[j].top; }
+
+  /// r_up_j = ||u_j,R_j||_max, user j's largest displacement inside R_j;
+  /// 0 for an empty region.
+  double r_up(size_t j) const { return derived_[j].r_up; }
+
+  /// Moves the regions out; the snapshot is spent afterwards.
+  std::vector<TileRegion> TakeRegions() { return std::move(regions_); }
+
+ private:
+  struct Derived {
+    std::vector<double> max_po;
+    double top = 0.0;
+    double r_up = 0.0;
+  };
+
+  // Folds tile k of user j's region into derived_[j].
+  void Fold(size_t j, size_t k);
+
+  std::vector<TileRegion> regions_;
+  std::vector<Point> users_;
+  Point po_;
+  std::vector<Derived> derived_;
+};
+
+/// One retrieval: the candidates (sorted by id) and the Theorem-3/6 bounds
+/// that selected them (MAX: one per user, SUM: one; empty when the source
+/// keeps none). Divide-Verify keeps one per recursion level and passes it
+/// to the sub-tiles as their parent retrieval.
+struct CandidateSet {
+  std::vector<Candidate> items;
+  std::vector<double> bound;
+};
+
 /// Shared statistics across candidate retrievals.
 struct CandidateStats {
   uint64_t retrievals = 0;        ///< calls to GetCandidates
@@ -43,11 +108,14 @@ class CandidateSource {
 
   /// Computes the candidates that must be verified when tile `s` (geometric
   /// extent) is being allocated to `user_i`, given the current tile regions.
-  /// Returns false when the tile must be rejected without verification
-  /// (buffered mode: no valid distance-threshold slot).
-  virtual bool GetCandidates(const std::vector<TileRegion>& regions,
-                             size_t user_i, const Rect& s,
-                             std::vector<Candidate>* out) = 0;
+  /// `parent`, when non-null, is the retrieval of a tile containing `s`
+  /// made while the regions held a subset of their current tiles; a source
+  /// may derive the result from it instead of querying the index. Returns
+  /// false when the tile must be rejected without verification (buffered
+  /// mode: no valid distance-threshold slot).
+  virtual bool GetCandidates(const TileSnapshot& snap, size_t user_i,
+                             const Rect& s, const CandidateSet* parent,
+                             CandidateSet* out) = 0;
 
   const CandidateStats& stats() const { return stats_; }
 
@@ -64,22 +132,31 @@ class CandidateSource {
   uint64_t node_accesses_ = 0;
 };
 
-/// Theorem 3 / Theorem 6 pruned retrieval from the R-tree on every call.
+/// Theorem 3 / Theorem 6 pruned retrieval.
+///
+/// Without a parent the R-tree is traversed. With a parent whose every
+/// bound is >= this tile's, the parent's candidates are filtered with the
+/// same point predicate instead: a smaller bound prunes a superset of index
+/// nodes and MBR pruning is sound, so that yields exactly the traversal's
+/// set. A sub-tile's bounds are mathematically no larger than its parent's
+/// (it lies inside the parent, and so does every tile committed since), but
+/// its corners are recomputed from the grid and can exceed the parent's by
+/// an ulp; any larger bound falls back to the traversal.
 class FreshCandidateSource : public CandidateSource {
  public:
-  /// `tree`, `users` must outlive the source. `po_id`/`po`/`po_agg` identify
-  /// the current optimum and its aggregate distance. With
-  /// `use_pruning = false` the traversal degenerates to a full scan
-  /// (ablation baseline for the Theorem-3/6 pruning). Candidates are
-  /// returned sorted by id: the raw traversal order depends on the index
-  /// layout (index/spatial_index.h), and downstream early-exit scans feed
-  /// their counters into the engine digest, so the order must not.
+  /// `tree`, `users` must outlive the source. `po_id`/`po` identify the
+  /// current optimum. With `use_pruning = false` the traversal degenerates
+  /// to a full scan (ablation baseline for the Theorem-3/6 pruning).
+  /// Candidates are returned sorted by id: the raw traversal order depends
+  /// on the index layout (index/spatial_index.h), and downstream early-exit
+  /// scans feed their counters into the engine digest, so the order must
+  /// not.
   FreshCandidateSource(SpatialIndex tree, const std::vector<Point>* users,
                        Objective obj, uint32_t po_id, const Point& po,
                        bool use_pruning = true);
 
-  bool GetCandidates(const std::vector<TileRegion>& regions, size_t user_i,
-                     const Rect& s, std::vector<Candidate>* out) override;
+  bool GetCandidates(const TileSnapshot& snap, size_t user_i, const Rect& s,
+                     const CandidateSet* parent, CandidateSet* out) override;
 
  private:
   SpatialIndex tree_;
@@ -87,10 +164,8 @@ class FreshCandidateSource : public CandidateSource {
   Objective obj_;
   uint32_t po_id_;
   Point po_;
+  double po_sum_;  // ||po,U||_sum (Theorem 6)
   bool use_pruning_;
-  // Per-call scratch reused across retrievals (a source lives for one
-  // safe-region computation and is driven from one thread).
-  std::vector<double> bound_;
 };
 
 /// Theorem 4 / Theorem 7 buffered retrieval (Algorithm 5).
@@ -102,8 +177,9 @@ class BufferedCandidateSource : public CandidateSource {
   BufferedCandidateSource(SpatialIndex tree, const std::vector<Point>& users,
                           Objective obj, int b);
 
-  bool GetCandidates(const std::vector<TileRegion>& regions, size_t user_i,
-                     const Rect& s, std::vector<Candidate>* out) override;
+  /// Ignores `parent`: the buffer already bounds every call to O(b).
+  bool GetCandidates(const TileSnapshot& snap, size_t user_i, const Rect& s,
+                     const CandidateSet* parent, CandidateSet* out) override;
 
   /// The optimum (first buffered GNN).
   const GnnCursor::Item& best() const { return buffer_.front(); }

@@ -17,12 +17,12 @@ constexpr double kMaxDelta = 1e14;
 // Every chunk early-exits on its first failure; chunk statistics merge into
 // the verifier in chunk order, so for a fixed grain the counters do not
 // depend on how many workers ran the chunks. With `lanes` non-null the
-// chunks run the SoA kernel over the shared snapshot (read-only; workers
-// never touch the arena).
-bool ParallelVerifyScan(const std::vector<TileRegion>& regions, size_t user_i,
+// chunks run the SoA kernel over the shared snapshot (read-only; no tile
+// is committed before the scan ends, and workers never touch the arena).
+bool ParallelVerifyScan(const TileSnapshot& snap, size_t user_i,
                         const Rect& rect,
                         const std::vector<Candidate>& candidates,
-                        const Point& po, TileVerifier* verifier,
+                        TileVerifier* verifier,
                         const VerifyFanout& fanout, const TileLanes* lanes,
                         VerifyStats* chunk_stats, uint8_t* chunk_ok,
                         size_t chunk_count) {
@@ -45,8 +45,8 @@ bool ParallelVerifyScan(const std::vector<TileRegion>& regions, size_t user_i,
           }
         } else {
           for (size_t k = begin; k < end; ++k) {
-            if (!verifier->VerifyTileThreadSafe(regions, user_i, rect,
-                                                candidates[k], po,
+            if (!verifier->VerifyTileThreadSafe(snap.regions(), user_i, rect,
+                                                candidates[k], snap.po(),
                                                 &chunk_stats[chunk])) {
               chunk_ok[chunk] = 0;
               break;
@@ -62,37 +62,42 @@ bool ParallelVerifyScan(const std::vector<TileRegion>& regions, size_t user_i,
   return ok;
 }
 
-bool DivideVerifyImpl(std::vector<TileRegion>* regions, size_t user_i,
-                      const GridTile& tile, const Point& po,
-                      CandidateSource* source, TileVerifier* verifier,
-                      int level, MsrStats* stats, const VerifyFanout& fanout,
-                      KernelKind kernel, MsrScratch* scratch) {
+// Algorithm 2 (Divide-Verify): tries to add grid tile `tile` (or sub-tiles
+// down to `level` more splits) to user_i's region; true when at least one
+// tile was inserted. `parent` is the enclosing tile's retrieval (null at
+// the top level); this call's own retrieval lives in
+// scratch->levels[level] until its sub-tiles are done.
+bool DivideVerify(TileSnapshot* snap, size_t user_i, const GridTile& tile,
+                  CandidateSource* source, TileVerifier* verifier, int level,
+                  MsrStats* stats, const VerifyFanout& fanout,
+                  KernelKind kernel, MsrScratch* scratch,
+                  const CandidateSet* parent) {
   ++stats->divide_calls;
-  TileRegion& region = (*regions)[user_i];
-  const Rect rect = region.TileRect(tile);
+  const Rect rect = snap->region(user_i).TileRect(tile);
 
-  std::vector<Candidate>& candidates = scratch->candidates;
-  bool ok = source->GetCandidates(*regions, user_i, rect, &candidates);
+  CandidateSet& retrieved = scratch->levels[static_cast<size_t>(level)];
+  const std::vector<Candidate>& candidates = retrieved.items;
+  bool ok = source->GetCandidates(*snap, user_i, rect, parent, &retrieved);
   if (ok && !candidates.empty()) {
     const bool use_lanes =
         kernel == KernelKind::kSoA && verifier->lanes_capable();
     const bool use_fanout = fanout.executor != nullptr &&
                             verifier->parallel_safe() &&
                             candidates.size() >= fanout.min_candidates;
-    // The snapshot (and all fan-out scratch) lives until the scan ends; a
-    // recursion into sub-tiles only starts after that, so resetting here
-    // can never invalidate a live allocation.
-    Arena& arena = scratch->arena;
-    arena.Reset();
     TileLanes lanes;
-    if (use_lanes) lanes = BuildTileLanes(*regions, rect, po, &arena);
+    if (use_lanes) lanes = TileLanes{snap, rect.MaxDist(snap->po())};
     if (use_fanout) {
+      // The chunk state lives until the scan ends; a recursion into
+      // sub-tiles only starts after that, so resetting here can never
+      // invalidate a live allocation.
+      Arena& arena = scratch->arena;
+      arena.Reset();
       const size_t grain = fanout.grain < 1 ? 1 : fanout.grain;
       const size_t chunk_count = (candidates.size() + grain - 1) / grain;
       auto* chunk_stats = arena.AllocateArray<VerifyStats>(chunk_count);
       auto* chunk_ok = arena.AllocateArray<uint8_t>(chunk_count);
-      ok = ParallelVerifyScan(*regions, user_i, rect, candidates, po,
-                              verifier, fanout, use_lanes ? &lanes : nullptr,
+      ok = ParallelVerifyScan(*snap, user_i, rect, candidates, verifier,
+                              fanout, use_lanes ? &lanes : nullptr,
                               chunk_stats, chunk_ok, chunk_count);
     } else if (use_lanes) {
       VerifyStats scan_stats;
@@ -106,7 +111,8 @@ bool DivideVerifyImpl(std::vector<TileRegion>* regions, size_t user_i,
       verifier->MergeStats(scan_stats);
     } else {
       for (const Candidate& c : candidates) {
-        if (!verifier->VerifyTile(*regions, user_i, rect, c, po)) {
+        if (!verifier->VerifyTile(snap->regions(), user_i, rect, c,
+                                  snap->po())) {
           ok = false;
           break;
         }
@@ -114,8 +120,8 @@ bool DivideVerifyImpl(std::vector<TileRegion>* regions, size_t user_i,
     }
   }
   if (ok) {
-    region.Add(tile);
-    verifier->OnCommitted(user_i, region.size());
+    snap->Add(user_i, tile);
+    verifier->OnCommitted(user_i, snap->region(user_i).size());
     ++stats->tiles_added;
     return true;
   }
@@ -125,8 +131,8 @@ bool DivideVerifyImpl(std::vector<TileRegion>* regions, size_t user_i,
   tile.Children(children);
   bool flag = false;
   for (const GridTile& child : children) {
-    if (DivideVerifyImpl(regions, user_i, child, po, source, verifier,
-                         level - 1, stats, fanout, kernel, scratch)) {
+    if (DivideVerify(snap, user_i, child, source, verifier, level - 1, stats,
+                     fanout, kernel, scratch, &retrieved)) {
       flag = true;
     }
   }
@@ -135,23 +141,13 @@ bool DivideVerifyImpl(std::vector<TileRegion>* regions, size_t user_i,
 
 }  // namespace
 
-bool DivideVerify(std::vector<TileRegion>* regions, size_t user_i,
-                  const GridTile& tile, const Point& po,
-                  CandidateSource* source, TileVerifier* verifier, int level,
-                  MsrStats* stats, const VerifyFanout& fanout,
-                  KernelKind kernel, MsrScratch* scratch) {
-  MsrScratch local;
-  return DivideVerifyImpl(regions, user_i, tile, po, source, verifier, level,
-                          stats, fanout, kernel,
-                          scratch != nullptr ? scratch : &local);
-}
-
 MsrResult ComputeTileMsr(SpatialIndex tree, const std::vector<Point>& users,
                          Objective obj, const TileMsrConfig& config,
                          const std::vector<MotionHint>& hints) {
   MPN_ASSERT(!users.empty());
   MPN_ASSERT(!tree.empty());
   MPN_ASSERT(hints.empty() || hints.size() == users.size());
+  MPN_ASSERT(config.split_level >= 0);
   const size_t m = users.size();
 
   MsrResult out;
@@ -202,13 +198,14 @@ MsrResult ComputeTileMsr(SpatialIndex tree, const std::vector<Point>& users,
 
   // Step 2 (lines 2-4): initial regions hold the square inscribed in the
   // Theorem-1/5 circle.
-  std::vector<TileRegion> regions;
-  regions.reserve(m);
+  std::vector<TileRegion> initial;
+  initial.reserve(m);
   for (const Point& u : users) {
-    regions.emplace_back(u, delta);
-    regions.back().Add(GridTile{0, 0, 0});
+    initial.emplace_back(u, delta);
+    initial.back().Add(GridTile{0, 0, 0});
     ++out.stats.tiles_added;
   }
+  TileSnapshot snap(std::move(initial), users, out.po);
 
   // Verifier back-end.
   std::unique_ptr<TileVerifier> verifier;
@@ -234,6 +231,7 @@ MsrResult ComputeTileMsr(SpatialIndex tree, const std::vector<Point>& users,
   }
 
   // Step 3 (lines 5-10): alpha rounds of round-robin tile growth.
+  scratch->levels.resize(static_cast<size_t>(config.split_level) + 1);
   std::vector<bool> exhausted(m, false);
   for (int t = 0; t < config.alpha; ++t) {
     bool any_active = false;
@@ -241,15 +239,15 @@ MsrResult ComputeTileMsr(SpatialIndex tree, const std::vector<Point>& users,
       if (exhausted[i]) continue;
       any_active = true;
       for (;;) {
-        const auto cell = orderings[i].Next(regions[i]);
+        const auto cell = orderings[i].Next(snap.region(i));
         if (!cell) {
           exhausted[i] = true;
           break;
         }
         ++out.stats.tiles_tried;
-        if (DivideVerifyImpl(&regions, i, *cell, out.po, source.get(),
-                             verifier.get(), config.split_level, &out.stats,
-                             config.fanout, config.kernel, scratch)) {
+        if (DivideVerify(&snap, i, *cell, source.get(), verifier.get(),
+                         config.split_level, &out.stats, config.fanout,
+                         config.kernel, scratch, nullptr)) {
           orderings[i].MarkInserted();
           break;
         }
@@ -259,8 +257,8 @@ MsrResult ComputeTileMsr(SpatialIndex tree, const std::vector<Point>& users,
   }
 
   out.regions.reserve(m);
-  for (size_t i = 0; i < m; ++i) {
-    out.regions.push_back(SafeRegion::MakeTiles(std::move(regions[i])));
+  for (TileRegion& region : snap.TakeRegions()) {
+    out.regions.push_back(SafeRegion::MakeTiles(std::move(region)));
   }
   out.stats.verify = verifier->stats();
   out.stats.candidates = source->stats();

@@ -34,15 +34,16 @@ enum class KernelKind {
   kSoA,     ///< batched SoA lane kernels (default; geom/lanes.h)
 };
 
-/// Reusable per-computation scratch: a bump arena for the SoA scan
-/// snapshots and fan-out chunk state, plus the candidate buffer. Owned by
-/// the caller (MpnServer keeps one per session) so steady-state recomputes
-/// perform no allocator traffic; ComputeTileMsr falls back to a local one
+/// Reusable per-computation scratch: a bump arena for the fan-out chunk
+/// state, plus one candidate set per Divide-Verify recursion level (a
+/// sub-tile filters its parent level's set; see FreshCandidateSource).
+/// Owned by the caller (MpnServer keeps one per session) so steady-state
+/// recomputes reuse the buffers; ComputeTileMsr falls back to a local one
 /// when the config carries none. Not thread-safe — callers must serialize
 /// recomputes sharing a scratch (GroupSession already serializes its own).
 struct MsrScratch {
   Arena arena;
-  std::vector<Candidate> candidates;
+  std::vector<CandidateSet> levels;  ///< indexed by remaining split level
 };
 
 /// Abstract parallel executor for the per-user candidate fan-out inside
@@ -125,22 +126,10 @@ struct MotionHint {
                          ///< means "use TileMsrConfig::default_theta"
 };
 
-/// Algorithm 2 (Divide-Verify), exposed for testing. Attempts to add grid
-/// tile `tile` (or sub-tiles down to `level` more splits) to
-/// (*regions)[user_i]. Returns true when at least one tile was inserted.
-/// `fanout` optionally parallelizes the candidate scan (see VerifyFanout);
-/// `kernel` selects the scan kernel (SoA requires a lanes-capable
-/// verifier, otherwise the scalar walk runs); `scratch` may be null.
-bool DivideVerify(std::vector<TileRegion>* regions, size_t user_i,
-                  const GridTile& tile, const Point& po,
-                  CandidateSource* source, TileVerifier* verifier, int level,
-                  MsrStats* stats, const VerifyFanout& fanout = {},
-                  KernelKind kernel = KernelKind::kSoA,
-                  MsrScratch* scratch = nullptr);
-
-/// Algorithm 3 (Tile-MSR). `hints` may be empty (undirected behaviour) or
-/// one entry per user. Falls back to circular regions when the tile side
-/// would degenerate (rmax ~ 0 or unbounded). `tree` accepts either index
+/// Algorithm 3 (Tile-MSR), with Algorithm 2 (Divide-Verify) inside.
+/// `hints` may be empty (undirected behaviour) or one entry per user.
+/// Falls back to circular regions when the tile side would degenerate
+/// (rmax ~ 0 or unbounded). `tree` accepts either index
 /// backend (index/spatial_index.h); the result and every digested counter
 /// are identical across backends.
 MsrResult ComputeTileMsr(SpatialIndex tree, const std::vector<Point>& users,

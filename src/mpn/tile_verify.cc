@@ -326,41 +326,6 @@ bool TileVerifier::VerifyTileLanes(const TileLanes& lanes, size_t user_i,
   return false;
 }
 
-TileLanes BuildTileLanes(const std::vector<TileRegion>& regions, const Rect& s,
-                         const Point& po, Arena* arena) {
-  TileLanes out;
-  out.users = regions.size();
-  size_t* offset = arena->AllocateArray<size_t>(out.users + 1);
-  size_t total = 0;
-  for (size_t j = 0; j < out.users; ++j) {
-    offset[j] = total;
-    total += regions[j].size();
-  }
-  offset[out.users] = total;
-  out.total = total;
-  out.offset = offset;
-
-  double* lo_x = arena->AllocateArray<double>(total);
-  double* lo_y = arena->AllocateArray<double>(total);
-  double* hi_x = arena->AllocateArray<double>(total);
-  double* hi_y = arena->AllocateArray<double>(total);
-  for (size_t j = 0; j < out.users; ++j) {
-    const RectLanes src = regions[j].lanes();
-    std::copy(src.lo_x, src.lo_x + src.n, lo_x + offset[j]);
-    std::copy(src.lo_y, src.lo_y + src.n, lo_y + offset[j]);
-    std::copy(src.hi_x, src.hi_x + src.n, hi_x + offset[j]);
-    std::copy(src.hi_y, src.hi_y + src.n, hi_y + offset[j]);
-  }
-  out.rects = RectLanes{lo_x, lo_y, hi_x, hi_y, total};
-
-  // Candidate-independent halves of the GT predicates, hoisted per scan.
-  double* max_po = arena->AllocateArray<double>(total);
-  RectMaxDistLanes(out.rects, po, max_po);
-  out.max_po = max_po;
-  out.d_o = s.MaxDist(po);
-  return out;
-}
-
 // ---------------------------------------------------------------------------
 // MaxGtVerifier (Algorithm 4 / Theorem 2)
 // ---------------------------------------------------------------------------
@@ -475,8 +440,9 @@ bool MaxGtVerifier::VerifyTileLanes(const TileLanes& lanes, size_t user_i,
                                     VerifyStats* stats) const {
   // Decision-identical to VerifyTileThreadSafe, but the lane loop runs in
   // the squared-distance domain with no per-lane sqrt or branch:
-  //  - mx = ||po,t||_max is hoisted into lanes.max_po at scan build (the
-  //    candidate-independent half of every GT predicate);
+  //  - mx = ||po,t||_max is read from the snapshot, which computed it once
+  //    when the tile was committed (the candidate-independent half of every
+  //    GT predicate);
   //  - mn2 below is the exact square the scalar path feeds to sqrt, so
   //    mn < d_p becomes mn2 <= SqrtLtThreshold(d_p) (see lanes.h);
   //  - every aggregate is a min/max selection, which commutes with the
@@ -503,15 +469,15 @@ bool MaxGtVerifier::VerifyTileLanes(const TileLanes& lanes, size_t user_i,
   double case3_bot = d_p;
   bool has_other = false;
 
-  const size_t m = lanes.users;
+  const TileSnapshot& snap = *lanes.tiles;
+  const size_t m = snap.users();
   for (size_t j = 0; j < m; ++j) {
     if (j == user_i) continue;
     has_other = true;
-    const size_t begin = lanes.offset[j];
-    const size_t end = lanes.offset[j + 1];
-    MPN_DCHECK(begin < end);
-    const UserLaneAgg agg = AggregateUserLanes(lanes.rects, lanes.max_po,
-                                               begin, end, px, py, d_o, t_lt);
+    const RectLanes r = snap.region(j).lanes();
+    MPN_DCHECK(r.n > 0);
+    const UserLaneAgg agg = AggregateUserLanes(r, snap.max_po(j), 0, r.n, px,
+                                               py, d_o, t_lt);
     const bool has_s = agg.minmin_all2 <= t_lt;   // some mn < d_p
     const bool has_t = agg.min_mx < d_o;          // some mx < d_o
     const bool has_dd = agg.minmin_t2 <= t_lt;    // some lane in both groups
@@ -548,9 +514,10 @@ bool MaxGtVerifier::VerifyTileLanes(const TileLanes& lanes, size_t user_i,
   // t.MinDist(p) <= d_p via the non-strict threshold.
   bool has_role_tile = false;
   const double t_le = SqrtLeqThreshold(d_p);
-  const RectLanes& r = lanes.rects;
-  for (size_t k = lanes.offset[user_i]; k < lanes.offset[user_i + 1]; ++k) {
-    if (lanes.max_po[k] >= d_o) {
+  const RectLanes r = snap.region(user_i).lanes();
+  const double* max_po = snap.max_po(user_i);
+  for (size_t k = 0; k < r.n; ++k) {
+    if (max_po[k] >= d_o) {
       const double dx =
           std::max(std::max(r.lo_x[k] - px, 0.0), px - r.hi_x[k]);
       const double dy =

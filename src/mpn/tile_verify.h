@@ -32,33 +32,19 @@
 #include "geom/lanes.h"
 #include "mpn/candidates.h"
 #include "mpn/safe_region.h"
-#include "util/arena.h"
 
 namespace mpn {
 
-/// Immutable SoA snapshot of every user's tile rects for one candidate
-/// scan of Divide-Verify. Built once per (tile, candidate-set) scan by
-/// BuildTileLanes; the per-candidate kernels then run over the contiguous
-/// lanes instead of walking vector<Rect> per user.
-///
-/// Layout: the tiles of user j occupy lanes [offset[j], offset[j+1]) of
-/// `rects` and of every parallel array. `max_po` caches the per-tile
-/// ||po, t||_max — the candidate-independent half of GT-Verify — so it is
-/// computed once per scan instead of once per (tile, candidate).
+/// One candidate scan's view for the SoA kernel: every user's committed
+/// tiles with their hoisted ||po,t||_max — the candidate-independent half
+/// of every GT predicate, computed once per tile for the whole Tile-MSR
+/// computation (TileSnapshot) — plus the tile under test's ||po,s||_max.
+/// The kernel walks user j's lanes tiles->region(j).lanes() in parallel
+/// with tiles->max_po(j).
 struct TileLanes {
-  size_t users = 0;                ///< m
-  size_t total = 0;                ///< total tiles across users
-  const size_t* offset = nullptr;  ///< users + 1 prefix offsets
-  RectLanes rects;                 ///< `total` rect lanes
-  const double* max_po = nullptr;  ///< per-tile MaxDist(po), hoisted
-  double d_o = 0.0;                ///< s.MaxDist(po) of the tile under test
+  const TileSnapshot* tiles = nullptr;
+  double d_o = 0.0;  ///< s.MaxDist(po) of the tile under test
 };
-
-/// Builds the scan snapshot for tile `s` from the current regions. All
-/// storage comes from `arena` and stays valid until the arena is reset;
-/// the per-tile geometry is copied out of the regions' SoA lanes.
-TileLanes BuildTileLanes(const std::vector<TileRegion>& regions, const Rect& s,
-                         const Point& po, Arena* arena);
 
 /// Verification statistics (shared across back-ends).
 struct VerifyStats {
@@ -95,12 +81,12 @@ class TileVerifier {
                                     VerifyStats* stats) const;
 
   /// True when the back-end has a lane (SoA) kernel: Divide-Verify then
-  /// builds one TileLanes snapshot per candidate scan and drives
-  /// VerifyTileLanes instead of the AoS walk. Implies parallel_safe().
+  /// drives VerifyTileLanes over the computation's TileSnapshot instead of
+  /// the AoS walk. Implies parallel_safe().
   virtual bool lanes_capable() const { return false; }
 
   /// SoA verification core: decision and counters bit-identical to
-  /// VerifyTileThreadSafe, but reading the prebuilt snapshot. The lane loop
+  /// VerifyTileThreadSafe, but reading the snapshot. The lane loop
   /// runs entirely in the squared-distance domain (no per-lane sqrt; see
   /// SqrtLtThreshold for the exactness argument), which is where the SoA
   /// kernel's throughput comes from.

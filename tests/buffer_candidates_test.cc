@@ -4,6 +4,8 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cmath>
+#include <limits>
 #include <set>
 
 #include "mpn/candidates.h"
@@ -50,14 +52,15 @@ TEST_P(PruningSoundnessTest, PrunedPointsCanNeverWin) {
 
     FreshCandidateSource source(&s.tree, &s.users, obj, circle.po_id,
                                 circle.po);
-    std::vector<Candidate> cands;
+    const TileSnapshot snap(regions, s.users, circle.po);
+    CandidateSet cands;
     const size_t ui = trial % m;
     const Rect tile = regions[ui].TileRect(GridTile{0, 0, 1});
-    ASSERT_TRUE(source.GetCandidates(regions, ui, tile, &cands));
+    ASSERT_TRUE(source.GetCandidates(snap, ui, tile, nullptr, &cands));
 
     std::set<uint32_t> allowed;
     allowed.insert(circle.po_id);
-    for (const Candidate& c : cands) allowed.insert(c.id);
+    for (const Candidate& c : cands.items) allowed.insert(c.id);
 
     for (int inst = 0; inst < 80; ++inst) {
       std::vector<Point> locations;
@@ -79,6 +82,118 @@ INSTANTIATE_TEST_SUITE_P(Objectives, PruningSoundnessTest,
                            return ObjectiveName(info.param);
                          });
 
+std::vector<uint32_t> Ids(const CandidateSet& set) {
+  std::vector<uint32_t> ids;
+  for (const Candidate& c : set.items) ids.push_back(c.id);
+  return ids;
+}
+
+class ParentReuseTest : public ::testing::TestWithParam<Objective> {};
+
+// Replays Divide-Verify's recursion shape: a rejected tile's four children
+// (and their children) retrieve with the enclosing tile's set as parent,
+// while some siblings get committed in between. Every parent-derived list
+// must equal a fresh index traversal, and the reuse path must be the one
+// that usually runs (it touches no index node).
+TEST_P(ParentReuseTest, FilteredParentEqualsFreshTraversal) {
+  const Objective obj = GetParam();
+  Rng rng(0x9A7E);
+  size_t reused = 0, checked = 0;
+  for (int trial = 0; trial < 20; ++trial) {
+    const size_t m = 1 + trial % 3;
+    const Scenario s = MakeScenario(600, m, 7100 + trial, 600.0);
+    const auto circle = ComputeCircleMsr(s.tree, s.users, obj);
+    if (circle.rmax <= 1e-9 || circle.rmax > 1e12) continue;
+    TileSnapshot snap(InitialRegions(s.users, std::sqrt(2.0) * circle.rmax),
+                      s.users, circle.po);
+    FreshCandidateSource source(&s.tree, &s.users, obj, circle.po_id,
+                                circle.po);
+    FreshCandidateSource oracle(&s.tree, &s.users, obj, circle.po_id,
+                                circle.po);
+    const size_t ui = trial % m;
+    const GridTile top{0, static_cast<int32_t>(rng.UniformInt(-2, 2)), 1};
+    CandidateSet parent;
+    ASSERT_TRUE(source.GetCandidates(snap, ui, snap.region(ui).TileRect(top),
+                                     nullptr, &parent));
+    GridTile children[4];
+    top.Children(children);
+    for (const GridTile& child : children) {
+      CandidateSet got, fresh;
+      const Rect rect = snap.region(ui).TileRect(child);
+      const uint64_t before = source.node_accesses();
+      ASSERT_TRUE(source.GetCandidates(snap, ui, rect, &parent, &got));
+      if (source.node_accesses() == before) ++reused;
+      ASSERT_TRUE(oracle.GetCandidates(snap, ui, rect, nullptr, &fresh));
+      ASSERT_EQ(Ids(got), Ids(fresh)) << "trial " << trial;
+      ++checked;
+      GridTile grandchildren[4];
+      child.Children(grandchildren);
+      for (const GridTile& g : grandchildren) {
+        CandidateSet g_got, g_fresh;
+        const Rect g_rect = snap.region(ui).TileRect(g);
+        ASSERT_TRUE(source.GetCandidates(snap, ui, g_rect, &got, &g_got));
+        ASSERT_TRUE(oracle.GetCandidates(snap, ui, g_rect, nullptr, &g_fresh));
+        ASSERT_EQ(Ids(g_got), Ids(g_fresh)) << "trial " << trial;
+        ++checked;
+        if (rng.UniformInt(0, 2) == 0) snap.Add(ui, g);
+      }
+      if (rng.UniformInt(0, 1) == 0) snap.Add(ui, child);
+    }
+    // Both paths count retrievals and candidates identically.
+    EXPECT_EQ(source.stats().retrievals, oracle.stats().retrievals + 1);
+  }
+  EXPECT_GT(checked, 200u);
+  EXPECT_GT(reused, checked / 8);
+}
+
+// A child bound one ulp above its parent's must take the traversal path:
+// the parent list below carries a planted id that no traversal can return,
+// so it survives exactly when the list was filtered instead.
+TEST_P(ParentReuseTest, LargerChildBoundFallsBackToTraversal) {
+  const Objective obj = GetParam();
+  const Scenario s = MakeScenario(400, 3, 7301, 600.0);
+  const auto circle = ComputeCircleMsr(s.tree, s.users, obj);
+  ASSERT_GT(circle.rmax, 1e-9);
+  const TileSnapshot snap(
+      InitialRegions(s.users, std::sqrt(2.0) * circle.rmax), s.users,
+      circle.po);
+  FreshCandidateSource source(&s.tree, &s.users, obj, circle.po_id, circle.po);
+  const Rect rect = snap.region(1).TileRect(GridTile{1, 2, 1});
+  CandidateSet fresh;
+  ASSERT_TRUE(source.GetCandidates(snap, 1, rect, nullptr, &fresh));
+  ASSERT_FALSE(fresh.bound.empty());
+
+  constexpr uint32_t kPlanted = 1u << 30;  // no such POI
+  CandidateSet parent;
+  parent.items = fresh.items;
+  // At po it passes every Theorem-3/6 bound (po lies within them all).
+  parent.items.push_back({kPlanted, circle.po});
+  for (size_t j = 0; j < fresh.bound.size(); ++j) {
+    parent.bound = fresh.bound;
+    parent.bound[j] = std::nextafter(parent.bound[j],
+                                     -std::numeric_limits<double>::infinity());
+    CandidateSet got;
+    const uint64_t before = source.node_accesses();
+    ASSERT_TRUE(source.GetCandidates(snap, 1, rect, &parent, &got));
+    EXPECT_GT(source.node_accesses(), before) << "bound " << j;
+    EXPECT_EQ(Ids(got), Ids(fresh)) << "bound " << j;
+  }
+  // Control: equal bounds take the filter path and keep the planted id.
+  parent.bound = fresh.bound;
+  CandidateSet got;
+  const uint64_t before = source.node_accesses();
+  ASSERT_TRUE(source.GetCandidates(snap, 1, rect, &parent, &got));
+  EXPECT_EQ(source.node_accesses(), before);
+  ASSERT_FALSE(got.items.empty());
+  EXPECT_EQ(got.items.back().id, kPlanted);
+}
+
+INSTANTIATE_TEST_SUITE_P(Objectives, ParentReuseTest,
+                         ::testing::Values(Objective::kMax, Objective::kSum),
+                         [](const ::testing::TestParamInfo<Objective>& info) {
+                           return ObjectiveName(info.param);
+                         });
+
 TEST(PruningTest, PrunesFarPoints) {
   // A dense local cluster plus one very remote POI: the remote one must be
   // pruned from the candidate list.
@@ -95,12 +210,12 @@ TEST(PruningTest, PrunesFarPoints) {
   auto regions = InitialRegions(users, delta);
   FreshCandidateSource source(&tree, &users, Objective::kMax, circle.po_id,
                               circle.po);
-  std::vector<Candidate> cands;
-  ASSERT_TRUE(source.GetCandidates(regions, 0,
-                                   regions[0].TileRect(GridTile{0, 1, 0}),
-                                   &cands));
-  for (const Candidate& c : cands) EXPECT_NE(c.id, 50u);
-  EXPECT_LT(cands.size(), pois.size() - 1);
+  const TileSnapshot snap(regions, users, circle.po);
+  CandidateSet cands;
+  ASSERT_TRUE(source.GetCandidates(
+      snap, 0, regions[0].TileRect(GridTile{0, 1, 0}), nullptr, &cands));
+  for (const Candidate& c : cands.items) EXPECT_NE(c.id, 50u);
+  EXPECT_LT(cands.items.size(), pois.size() - 1);
 }
 
 TEST(BufferTest, BetasAreSortedAndMatchDefinition) {
@@ -136,16 +251,17 @@ TEST(BufferTest, SlotSelectionBoundsCandidates) {
   const double delta = 2.0 * source.Beta(1) / std::sqrt(2.0);
   if (delta <= 0) GTEST_SKIP() << "degenerate scenario";
   auto regions = InitialRegions(s.users, delta);
+  const TileSnapshot snap(regions, s.users, source.best().p);
   // Tiny tile -> small dist -> few candidates.
-  std::vector<Candidate> small_cands;
+  CandidateSet small_cands;
   const Rect small = regions[0].TileRect(GridTile{2, 0, 0});
-  ASSERT_TRUE(source.GetCandidates(regions, 0, small, &small_cands));
+  ASSERT_TRUE(source.GetCandidates(snap, 0, small, nullptr, &small_cands));
   // Far tile -> larger dist -> at least as many candidates (or rejection).
-  std::vector<Candidate> big_cands;
+  CandidateSet big_cands;
   const Rect far = regions[0].TileRect(GridTile{0, 10, 0});
-  const bool far_ok = source.GetCandidates(regions, 0, far, &big_cands);
+  const bool far_ok = source.GetCandidates(snap, 0, far, nullptr, &big_cands);
   if (far_ok) {
-    EXPECT_GE(big_cands.size(), small_cands.size());
+    EXPECT_GE(big_cands.items.size(), small_cands.items.size());
   } else {
     EXPECT_GT(source.stats().rejected_by_buffer, 0u);
   }
@@ -159,12 +275,14 @@ TEST(BufferTest, RejectsTilesBeyondBetaB) {
   if (!std::isfinite(beta_b)) GTEST_SKIP() << "tiny dataset";
   const double delta = std::max(1e-6, 2.0 * source.Beta(1) / std::sqrt(2.0));
   auto regions = InitialRegions(s.users, delta);
+  const TileSnapshot snap(regions, s.users, source.best().p);
   // A tile definitely beyond beta_b from the user.
   const int far_cells =
       static_cast<int>(beta_b / regions[0].CellSide(0)) + 3;
-  std::vector<Candidate> cands;
+  CandidateSet cands;
   const bool ok = source.GetCandidates(
-      regions, 0, regions[0].TileRect(GridTile{0, far_cells, 0}), &cands);
+      snap, 0, regions[0].TileRect(GridTile{0, far_cells, 0}), nullptr,
+      &cands);
   EXPECT_FALSE(ok);
 }
 
@@ -173,11 +291,12 @@ TEST(BufferTest, SmallDatasetInfiniteBetaAcceptsEverything) {
   const Scenario s = MakeScenario(5, 2, 3141);
   BufferedCandidateSource source(s.tree, s.users, Objective::kMax, 100);
   auto regions = InitialRegions(s.users, 10.0);
-  std::vector<Candidate> cands;
+  const TileSnapshot snap(regions, s.users, source.best().p);
+  CandidateSet cands;
   EXPECT_TRUE(source.GetCandidates(
-      regions, 0, regions[0].TileRect(GridTile{0, 50, 0}), &cands));
+      snap, 0, regions[0].TileRect(GridTile{0, 50, 0}), nullptr, &cands));
   // All non-optimal POIs are candidates at most.
-  EXPECT_LE(cands.size(), s.pois.size() - 1);
+  EXPECT_LE(cands.items.size(), s.pois.size() - 1);
 }
 
 }  // namespace

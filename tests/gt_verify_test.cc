@@ -187,8 +187,9 @@ TEST(GtVerifyTest, SoAKernelMatchesScalarOnRandomScenes) {
         GridTile{0, static_cast<int32_t>(rng.UniformInt(-4, 4)),
                  static_cast<int32_t>(rng.UniformInt(-4, 4))});
     MaxGtVerifier gt;
-    Arena arena;
-    const TileLanes lanes = BuildTileLanes(regions, s, po, &arena);
+    // The GT kernel reads no user locations (only r_up does).
+    const TileSnapshot snap(regions, std::vector<Point>(m, po), po);
+    const TileLanes lanes{&snap, s.MaxDist(po)};
     for (int c = 0; c < 24; ++c) {
       Candidate cand{static_cast<uint32_t>(c), {}};
       if (c % 3 == 0) {

@@ -3,6 +3,8 @@
 // orderings, buffering, and structural checks.
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <cstring>
 #include <string>
 
 #include "mpn/tile_msr.h"
@@ -136,6 +138,63 @@ TEST(GtVsItTest, GtAcceptanceImpliesItAcceptance) {
   }
   EXPECT_GT(checked, 100u);
   EXPECT_GT(gt_accepts, 20u);
+}
+
+uint64_t Bits(double d) {
+  uint64_t b;
+  std::memcpy(&b, &d, sizeof(b));
+  return b;
+}
+
+// The snapshot's running maxima and per-tile ||po,t||_max must equal a full
+// recompute over the region, bit for bit, after every single append —
+// including regions of mixed levels far from the origin, where the rounding
+// of each corner differs per tile.
+TEST(TileSnapshotTest, RunningValuesMatchFullFoldsAsRegionsGrow) {
+  Rng rng(0x5A9);
+  for (int trial = 0; trial < 40; ++trial) {
+    const size_t m = 1 + static_cast<size_t>(trial % 4);
+    const double extent = trial % 2 == 0 ? 100.0 : 3.0e6;
+    std::vector<Point> users;
+    std::vector<TileRegion> regions;
+    for (size_t j = 0; j < m; ++j) {
+      users.push_back({rng.Uniform(0, extent), rng.Uniform(0, extent)});
+      regions.emplace_back(users.back(), rng.Uniform(0.1, 0.05 * extent));
+    }
+    const Point po{rng.Uniform(0, extent), rng.Uniform(0, extent)};
+    TileSnapshot snap(regions, users, po);
+    for (size_t j = 0; j < m; ++j) {  // empty regions fold to 0
+      EXPECT_EQ(snap.r_up(j), 0.0);
+      EXPECT_EQ(snap.top(j), 0.0);
+    }
+    for (int step = 0; step < 60; ++step) {
+      const size_t j = static_cast<size_t>(rng.UniformInt(0, m - 1));
+      const int32_t level = static_cast<int32_t>(rng.UniformInt(0, 3));
+      const int32_t span = 4 << level;
+      snap.Add(j, GridTile{level,
+                           static_cast<int32_t>(rng.UniformInt(-span, span)),
+                           static_cast<int32_t>(rng.UniformInt(-span, span))});
+      for (size_t k = 0; k < m; ++k) {
+        const RectLanes lanes = snap.region(k).lanes();
+        ASSERT_EQ(Bits(snap.r_up(k)), Bits(RectMaxDistReduce(lanes, users[k])))
+            << "trial " << trial << " step " << step << " user " << k;
+        ASSERT_EQ(Bits(snap.top(k)), Bits(RectMaxDistReduce(lanes, po)))
+            << "trial " << trial << " step " << step << " user " << k;
+        std::vector<double> max_po(lanes.n);
+        RectMaxDistLanes(lanes, po, max_po.data());
+        for (size_t t = 0; t < lanes.n; ++t) {
+          ASSERT_EQ(Bits(snap.max_po(k)[t]), Bits(max_po[t]))
+              << "trial " << trial << " user " << k << " tile " << t;
+        }
+      }
+    }
+    // A snapshot built over the grown regions folds to the same values.
+    const TileSnapshot rebuilt(snap.regions(), users, po);
+    for (size_t k = 0; k < m; ++k) {
+      EXPECT_EQ(Bits(rebuilt.r_up(k)), Bits(snap.r_up(k)));
+      EXPECT_EQ(Bits(rebuilt.top(k)), Bits(snap.top(k)));
+    }
+  }
 }
 
 // Divide-Verify splits a rejected tile and can admit sub-tiles (Fig. 6b).
