@@ -53,7 +53,6 @@ class TileSnapshot {
   size_t users() const { return regions_.size(); }
   const std::vector<TileRegion>& regions() const { return regions_; }
   const TileRegion& region(size_t j) const { return regions_[j]; }
-  const Point& user(size_t j) const { return users_[j]; }
   const Point& po() const { return po_; }
 
   /// Per-tile ||po,t||_max of user j's tiles, parallel to region(j).lanes().
