@@ -33,19 +33,26 @@
 //  6. Kernel ablation: the same workload with the scalar reference
 //     verification kernel vs the SoA lane kernels (mpn/tile_msr.h
 //     KernelKind). The digests must be bit-identical — the kernels make
-//     the same decisions — and soa_speedup is the whole-engine win from
-//     batching the candidate scans.
+//     the same decisions — and soa_speedup, the median over kRepeats
+//     paired runs, is the whole-engine win from batching the candidate
+//     scans.
 //  7. Index ablation: the same workload over the dynamic R-tree
 //     (insert-built and bulk-loaded) and the packed STR/Hilbert flat
 //     layouts (index/packed_rtree.h). Digests must be bit-identical;
 //     query_speedup (mixed range+circle probe throughput over the
-//     insert-built tree) is the CI-gated packed-layout win.
+//     insert-built tree, median over kRepeats interleaved rounds) is the
+//     CI-gated packed-layout win.
 //  8. Out-of-core spill: thousands of m=2 sessions (1M+ in full mode)
 //     under a fixed memory budget (engine/session_store.h). The digest
 //     must be bit-identical to the unbudgeted run across thread counts
 //     and cluster shards, the spill/rehydrate counters are exact at one
 //     thread, and peak RSS is sampled to show the cap actually bounds
 //     resident session state.
+//
+// Every table carries a `digest` column: the run's ResultDigest in hex.
+// scripts/check_baselines.py matches it exactly, so a result change shows
+// up in the baseline diff even where the `deterministic` column (equality
+// within one run) stays "yes".
 #include <atomic>
 #include <chrono>
 #include <cstdio>
@@ -65,6 +72,19 @@
 namespace mpn {
 namespace bench {
 namespace {
+
+// Timed repeats behind each CI-gated ratio column (soa_speedup,
+// query_speedup): one run of their timed work is short enough that host
+// noise alone moves it past the gate's tolerance, the median of several
+// does not.
+constexpr int kRepeats = 7;
+
+std::string DigestHex(uint64_t digest) {
+  char buf[17];
+  std::snprintf(buf, sizeof buf, "%016llx",
+                static_cast<unsigned long long>(digest));
+  return buf;
+}
 
 struct RunResult {
   double seconds = 0.0;
@@ -122,7 +142,7 @@ void RunScaleTable(const std::vector<Point>& pois, const RTree& tree,
                    const std::vector<size_t>& thread_counts,
                    const ServerConfig& server) {
   Table table({"groups", "threads", "seconds", "rounds/sec", "speedup",
-               "lat_p50_ms", "lat_p99_ms", "deterministic"});
+               "lat_p50_ms", "lat_p99_ms", "digest", "deterministic"});
   for (size_t n_groups : group_counts) {
     double base_throughput = 0.0;
     uint64_t base_digest = 0;
@@ -140,6 +160,7 @@ void RunScaleTable(const std::vector<Point>& pois, const RTree& tree,
                                      : 1.0,
                                  2),
                     FormatDouble(r.p50_ms, 3), FormatDouble(r.p99_ms, 3),
+                    DigestHex(r.digest),
                     r.digest == base_digest ? "yes" : "NO"});
     }
   }
@@ -154,7 +175,7 @@ void RunStragglerTable(const std::vector<Point>& pois, const RTree& tree,
                        const std::vector<size_t>& thread_counts,
                        const ServerConfig& server) {
   Table table({"threads", "straggler", "strag_p99_ms", "others_p50_ms",
-               "others_p99_ms", "seconds", "deterministic"});
+               "others_p99_ms", "seconds", "digest", "deterministic"});
   for (size_t threads : thread_counts) {
     uint64_t control_digest = 0;
     for (int with_straggler = 0; with_straggler < 2; ++with_straggler) {
@@ -186,7 +207,7 @@ void RunStragglerTable(const std::vector<Point>& pois, const RTree& tree,
                                : "-",
            FormatDouble(Quantile(other_gaps, 0.5), 3),
            FormatDouble(Quantile(other_gaps, 0.99), 3),
-           FormatDouble(seconds, 3),
+           FormatDouble(seconds, 3), DigestHex(engine.ResultDigest()),
            engine.ResultDigest() == control_digest ? "yes" : "NO"});
     }
   }
@@ -201,7 +222,7 @@ void RunChurnTable(const std::vector<Point>& pois, const RTree& tree,
                    const std::vector<size_t>& thread_counts,
                    const ServerConfig& server) {
   Table table({"threads", "sessions", "retired", "seconds", "rounds/sec",
-               "deterministic"});
+               "digest", "deterministic"});
   uint64_t base_digest = 0;
   for (size_t threads : thread_counts) {
     EngineOptions opt;
@@ -231,6 +252,7 @@ void RunChurnTable(const std::vector<Point>& pois, const RTree& tree,
     table.AddRow({std::to_string(threads), std::to_string(n_groups),
                   std::to_string(retired), FormatDouble(seconds, 3),
                   FormatDouble(seconds > 0.0 ? rounds / seconds : 0.0, 0),
+                  DigestHex(engine.ResultDigest()),
                   engine.ResultDigest() == base_digest ? "yes" : "NO"});
   }
   table.Print("Engine scale — churn (half admitted mid-run, quarter retired "
@@ -252,7 +274,8 @@ void RunClusterTable(const std::vector<Point>& pois, const RTree& tree,
                                       server);
     ref_digest = r.digest;
   }
-  Table table({"shards", "groups", "seconds", "rounds/sec", "deterministic"});
+  Table table({"shards", "groups", "seconds", "rounds/sec", "digest",
+               "deterministic"});
   for (size_t shards : shard_counts) {
     ClusterOptions opt;
     opt.workers = shards;
@@ -268,6 +291,7 @@ void RunClusterTable(const std::vector<Point>& pois, const RTree& tree,
     table.AddRow({std::to_string(shards), std::to_string(n_groups),
                   FormatDouble(seconds, 3),
                   FormatDouble(seconds > 0.0 ? rounds / seconds : 0.0, 0),
+                  DigestHex(cluster.ResultDigest()),
                   cluster.ResultDigest() == ref_digest ? "yes" : "NO"});
   }
   table.Print("Engine scale — process shards (forked workers, groups routed "
@@ -291,7 +315,7 @@ void RunRecoveryTable(const std::vector<Point>& pois, const RTree& tree,
   }
   Table table({"shards", "groups", "kills", "faults", "restarts",
                "readmitted", "crc_fail", "hb_miss", "deadline_hits",
-               "seconds", "recover_ms", "deterministic"});
+               "seconds", "recover_ms", "digest", "deterministic"});
   for (size_t shards : shard_counts) {
     ClusterOptions opt;
     opt.workers = shards;
@@ -326,6 +350,7 @@ void RunRecoveryTable(const std::vector<Point>& pois, const RTree& tree,
                   std::to_string(rs.deadline_hits),
                   FormatDouble(seconds, 3),
                   FormatDouble(rs.recovery_seconds * 1e3, 3),
+                  DigestHex(cluster.ResultDigest()),
                   cluster.ResultDigest() == ref_digest ? "yes" : "NO"});
   }
   table.Print("Engine scale — elastic recovery (one worker killed mid-run, "
@@ -337,31 +362,42 @@ void RunRecoveryTable(const std::vector<Point>& pois, const RTree& tree,
 // Scalar vs SoA verification kernels over the full engine loop (single
 // thread so the ratio is a pure kernel comparison). The decision sequences
 // are bit-identical by construction, so the digests — which fold every
-// verify/candidate/index counter — must match; soa_speedup is the
-// wall-clock ratio scalar/soa.
+// verify/candidate counter — must match; soa_speedup is the median over
+// kRepeats scalar/soa pairs of the wall-clock ratio scalar/soa, and the
+// seconds columns are the medians of each side.
 void RunKernelTable(const std::vector<Point>& pois, const RTree& tree,
                     const std::vector<std::vector<const Trajectory*>>& groups,
                     const std::vector<size_t>& group_counts,
                     const ServerConfig& server) {
   Table table({"groups", "scalar_seconds", "soa_seconds", "soa_speedup",
-               "verify_calls", "deterministic"});
+               "verify_calls", "digest", "deterministic"});
   ServerConfig scalar_cfg = server;
   scalar_cfg.kernel = KernelKind::kScalar;
   ServerConfig soa_cfg = server;
   soa_cfg.kernel = KernelKind::kSoA;
   for (size_t n_groups : group_counts) {
-    const RunResult rs =
-        RunEngineOnce(pois, tree, groups, n_groups, 1, false, scalar_cfg);
-    const RunResult rv =
-        RunEngineOnce(pois, tree, groups, n_groups, 1, false, soa_cfg);
-    const bool identical =
-        rs.digest == rv.digest && rs.verify_calls == rv.verify_calls;
-    table.AddRow({std::to_string(n_groups), FormatDouble(rs.seconds, 3),
-                  FormatDouble(rv.seconds, 3),
-                  FormatDouble(rv.seconds > 0.0 ? rs.seconds / rv.seconds
-                                                : 1.0,
-                               2),
-                  std::to_string(rv.verify_calls),
+    std::vector<double> scalar_s, soa_s, ratio;
+    RunResult first;
+    bool identical = true;
+    for (int rep = 0; rep < kRepeats; ++rep) {
+      const RunResult rs =
+          RunEngineOnce(pois, tree, groups, n_groups, 1, false, scalar_cfg);
+      const RunResult rv =
+          RunEngineOnce(pois, tree, groups, n_groups, 1, false, soa_cfg);
+      if (rep == 0) first = rv;
+      identical = identical && rs.digest == first.digest &&
+                  rv.digest == first.digest &&
+                  rs.verify_calls == first.verify_calls &&
+                  rv.verify_calls == first.verify_calls;
+      scalar_s.push_back(rs.seconds);
+      soa_s.push_back(rv.seconds);
+      ratio.push_back(rv.seconds > 0.0 ? rs.seconds / rv.seconds : 1.0);
+    }
+    table.AddRow({std::to_string(n_groups),
+                  FormatDouble(Quantile(scalar_s, 0.5), 3),
+                  FormatDouble(Quantile(soa_s, 0.5), 3),
+                  FormatDouble(Quantile(ratio, 0.5), 2),
+                  std::to_string(first.verify_calls), DigestHex(first.digest),
                   identical ? "yes" : "NO"});
   }
   table.Print("Engine scale — scalar vs SoA verification kernels (Tile-D, "
@@ -374,12 +410,14 @@ void RunKernelTable(const std::vector<Point>& pois, const RTree& tree,
 /// backend must produce the bit-identical digest; build_ms is the one-time
 /// index construction cost, queries/sec a mixed range+circle probe
 /// throughput on the built index, and query_speedup that throughput
-/// relative to the insert-built dynamic tree.
+/// relative to the insert-built dynamic tree. Both are medians over
+/// kRepeats rounds that probe every backend in turn, the speedup one of
+/// per-round ratios.
 void RunIndexTable(const std::vector<Point>& pois,
                    const std::vector<std::vector<const Trajectory*>>& groups,
                    size_t n_groups, const ServerConfig& server) {
   Table table({"index", "build_ms", "queries/sec", "query_speedup",
-               "seconds", "rounds/sec", "deterministic"});
+               "seconds", "rounds/sec", "digest", "deterministic"});
 
   // Mixed probe workload: 128 range + 128 circle queries spanning ~5% of
   // the world each, repeated enough to time reliably.
@@ -442,20 +480,27 @@ void RunIndexTable(const std::vector<Point>& pois,
       {"packed_str", SpatialIndex(&packed_str), str_ms},
       {"packed_hilbert", SpatialIndex(&packed_hilbert), hilbert_ms},
   };
-  double base_qps = 0.0;
-  uint64_t base_digest = 0;
-  for (const IndexRow& row : rows) {
-    const double qps = queries_per_sec(row.view);
-    const RunResult r =
-        RunEngineOnce(pois, row.view, groups, n_groups, 1, false, server);
-    if (row.view.dynamic_tree() == &inserted) {
-      base_qps = qps;
-      base_digest = r.digest;
+  constexpr size_t kRows = sizeof(rows) / sizeof(rows[0]);
+  std::vector<double> qps[kRows], speedup[kRows];
+  for (int rep = 0; rep < kRepeats; ++rep) {
+    double base_qps = 0.0;
+    for (size_t i = 0; i < kRows; ++i) {
+      const double q = queries_per_sec(rows[i].view);
+      if (i == 0) base_qps = q;
+      qps[i].push_back(q);
+      speedup[i].push_back(base_qps > 0.0 ? q / base_qps : 1.0);
     }
-    table.AddRow({row.name, FormatDouble(row.build_ms, 2),
-                  FormatDouble(qps, 0),
-                  FormatDouble(base_qps > 0.0 ? qps / base_qps : 1.0, 2),
+  }
+  uint64_t base_digest = 0;
+  for (size_t i = 0; i < kRows; ++i) {
+    const RunResult r =
+        RunEngineOnce(pois, rows[i].view, groups, n_groups, 1, false, server);
+    if (i == 0) base_digest = r.digest;
+    table.AddRow({rows[i].name, FormatDouble(rows[i].build_ms, 2),
+                  FormatDouble(Quantile(qps[i], 0.5), 0),
+                  FormatDouble(Quantile(speedup[i], 0.5), 2),
                   FormatDouble(r.seconds, 3), FormatDouble(r.throughput, 0),
+                  DigestHex(r.digest),
                   r.digest == base_digest ? "yes" : "NO"});
   }
   table.Print("Engine scale — dynamic vs packed spatial index (Tile-D, "
@@ -595,7 +640,7 @@ void RunSpillTable(const std::vector<Point>& pois, const RTree& tree) {
 
   Table table({"sessions", "threads", "shards", "budget_kb", "spilled",
                "rehydrated", "spilled_kb", "peak_resident_kb", "rss_mb",
-               "seconds", "deterministic"});
+               "seconds", "digest", "deterministic"});
   const auto add_row = [&table](size_t sessions, size_t threads,
                                 size_t shards, size_t cap_bytes,
                                 const SpillRun& r, bool exact_counters,
@@ -610,7 +655,7 @@ void RunSpillTable(const std::vector<Point>& pois, const RTree& tree) {
          exact_counters ? std::to_string(r.mem.peak_resident_bytes / 1024)
                         : "-",
          FormatDouble(static_cast<double>(r.rss_peak) / (1024.0 * 1024.0), 1),
-         FormatDouble(r.seconds, 3), ok ? "yes" : "NO"});
+         FormatDouble(r.seconds, 3), DigestHex(r.digest), ok ? "yes" : "NO"});
   };
 
   // Unbudgeted reference: digest D0, nothing may spill.
@@ -727,14 +772,14 @@ void Run() {
   // long enough for the fan-out to engage.
   const ServerConfig buffered = MakeServerConfig(Method::kTileDBuffered,
                                                  Objective::kMax);
-  Table fan({"threads", "seconds", "rounds/sec", "deterministic"});
+  Table fan({"threads", "seconds", "rounds/sec", "digest", "deterministic"});
   uint64_t fan_base_digest = 0;
   for (size_t threads : thread_counts) {
     const RunResult r = RunEngineOnce(pois, tree, groups, 1, threads, true,
                                       buffered);
     if (threads == 1) fan_base_digest = r.digest;
     fan.AddRow({std::to_string(threads), FormatDouble(r.seconds, 3),
-                FormatDouble(r.throughput, 0),
+                FormatDouble(r.throughput, 0), DigestHex(r.digest),
                 r.digest == fan_base_digest ? "yes" : "NO"});
   }
   fan.Print("Engine scale — per-user verification fan-out (1 group, "

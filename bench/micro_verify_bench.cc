@@ -52,7 +52,7 @@ const VerifyFixture& Fixture(size_t tiles_per_user) {
     }
     const auto top = FindGnn(f.tree, f.users, Objective::kMax, 64);
     for (size_t i = 1; i < top.size(); ++i) {
-      f.candidates.push_back({top[i].id, top[i].p});
+      f.candidates.push_back({top[i].id, Candidate::kNoSlot, top[i].p});
     }
     f.probe_tile = f.regions[0].TileRect(GridTile{0, 2, 0});
 
@@ -61,14 +61,14 @@ const VerifyFixture& Fixture(size_t tiles_per_user) {
     // produce identical counters (the bit-identity contract the
     // differential tests enforce engine-wide).
     MaxGtVerifier verifier;
-    const TileSnapshot snap(f.regions, f.users, f.po);
+    TileSnapshot snap(f.regions, f.users, f.po);
     const TileLanes lanes{&snap, f.probe_tile.MaxDist(f.po)};
     VerifyStats scalar_stats, soa_stats;
     for (const Candidate& c : f.candidates) {
       const bool a = verifier.VerifyTileThreadSafe(f.regions, 0, f.probe_tile,
                                                    c, f.po, &scalar_stats);
-      const bool b = verifier.VerifyTileLanes(lanes, 0, f.probe_tile, c,
-                                              &soa_stats);
+      const bool b = verifier.VerifyTileLanes(
+          lanes, 0, f.probe_tile, snap.Intern(c.id, c.p), &soa_stats);
       MPN_ASSERT_MSG(a == b, "scalar/SoA kernel decision divergence");
     }
     MPN_ASSERT(scalar_stats.calls == soa_stats.calls &&
@@ -131,18 +131,23 @@ void BM_GtVerifyScanScalar(benchmark::State& state) {
 
 // The same scan through the batched SoA kernel: one lane pass per
 // candidate over the snapshot, whose candidate-independent ||po,t||_max
-// lanes a Tile-MSR computation fills once per committed tile (outside the
-// timed loop, as in Divide-Verify). items/sec vs BM_GtVerifyScanScalar is
-// the SoA kernel's speedup.
+// lanes a Tile-MSR computation fills once per committed tile and whose
+// candidate rows it fills once per candidate (both outside the timed loop,
+// as in Divide-Verify). items/sec vs BM_GtVerifyScanScalar is the SoA
+// kernel's speedup.
 void BM_GtVerifyScanSoA(benchmark::State& state) {
   const auto& f = Fixture(static_cast<size_t>(state.range(0)));
   MaxGtVerifier verifier;
-  const TileSnapshot snap(f.regions, f.users, f.po);
+  TileSnapshot snap(f.regions, f.users, f.po);
+  std::vector<Candidate> candidates;
+  for (const Candidate& c : f.candidates) {
+    candidates.push_back(snap.Intern(c.id, c.p));
+  }
   const TileLanes lanes{&snap, f.probe_tile.MaxDist(f.po)};
   VerifyStats stats;
   for (auto _ : state) {
     bool all = true;
-    for (const Candidate& c : f.candidates) {
+    for (const Candidate& c : candidates) {
       all &= verifier.VerifyTileLanes(lanes, 0, f.probe_tile, c, &stats);
     }
     benchmark::DoNotOptimize(all);

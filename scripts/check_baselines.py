@@ -13,7 +13,8 @@ Comparison model (mirrors scripts/update_baselines.py):
       - timing columns (TIMING_MARKERS in the name): machine-dependent,
         compared only when --timing-tolerance is given;
       - everything else: deterministic counters that must match EXACTLY
-        across machines for identical code (digest-backed determinism).
+        across machines for identical code (digest-backed determinism),
+        including the `digest` hex columns of the fig_engine_scale tables.
   * Rows are matched on their parameter values. Fresh rows with no
     baseline counterpart (e.g. extra thread counts on a bigger machine)
     are informational; baseline rows missing from the fresh run fail.

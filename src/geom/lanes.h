@@ -18,6 +18,7 @@
 // — still value-identical to the scalar fold they replace.
 #pragma once
 
+#include <algorithm>
 #include <cstddef>
 #include <cstdint>
 
@@ -36,6 +37,16 @@ struct RectLanes {
   const double* hi_y = nullptr;
   size_t n = 0;
 };
+
+/// Squared ||(px,py), rect_k||_min of lane k: the exact IEEE operations
+/// of every MinDist lane kernel here, so a min over these squares equals
+/// theirs bit for bit (RectMinDist2Lanes, one lane at a time).
+inline double RectMinDist2Lane(const RectLanes& r, size_t k, double px,
+                               double py) {
+  const double dx = std::max(std::max(r.lo_x[k] - px, 0.0), px - r.hi_x[k]);
+  const double dy = std::max(std::max(r.lo_y[k] - py, 0.0), py - r.hi_y[k]);
+  return dx * dx + dy * dy;
+}
 
 /// out[i] = ||p, rect_i||_min (Rect::MinDist per lane).
 void RectMinDistLanes(const RectLanes& r, const Point& p, double* out);

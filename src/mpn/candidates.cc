@@ -45,7 +45,36 @@ TileSnapshot::TileSnapshot(std::vector<TileRegion> regions,
 
 void TileSnapshot::Add(size_t j, const GridTile& t) {
   regions_[j].Add(t);
-  Fold(j, regions_[j].size() - 1);
+  const size_t k = regions_[j].size() - 1;
+  Fold(j, k);
+  const RectLanes lanes = regions_[j].lanes();
+  const size_t m = users();
+  for (size_t r = 0; r < row_points_.size(); ++r) {
+    double& min2 = rows_[r * 2 * m + m + j];
+    min2 = std::min(min2, RectMinDist2Lane(lanes, k, row_points_[r].x,
+                                           row_points_[r].y));
+  }
+}
+
+Candidate TileSnapshot::Intern(uint32_t id, const Point& p) {
+  const auto [it, fresh] =
+      slot_of_.try_emplace(id, static_cast<uint32_t>(row_points_.size()));
+  if (fresh) {
+    const size_t m = users();
+    row_points_.push_back(p);
+    rows_.resize(rows_.size() + 2 * m);
+    double* row = rows_.data() + rows_.size() - 2 * m;
+    for (size_t j = 0; j < m; ++j) {
+      row[j] = Dist(p, users_[j]);
+      const RectLanes lanes = regions_[j].lanes();
+      double min2 = std::numeric_limits<double>::infinity();
+      for (size_t k = 0; k < lanes.n; ++k) {
+        min2 = std::min(min2, RectMinDist2Lane(lanes, k, p.x, p.y));
+      }
+      row[m + j] = min2;
+    }
+  }
+  return Candidate{id, it->second, p};
 }
 
 void TileSnapshot::Fold(size_t j, size_t k) {
@@ -73,8 +102,8 @@ FreshCandidateSource::FreshCandidateSource(SpatialIndex tree,
       po_sum_(AggDist(po, *users, Objective::kSum)),
       use_pruning_(use_pruning) {}
 
-bool FreshCandidateSource::GetCandidates(const TileSnapshot& snap,
-                                         size_t user_i, const Rect& s,
+bool FreshCandidateSource::GetCandidates(TileSnapshot* snap, size_t user_i,
+                                         const Rect& s,
                                          const CandidateSet* parent,
                                          CandidateSet* out) {
   std::vector<Candidate>& items = out->items;
@@ -84,14 +113,14 @@ bool FreshCandidateSource::GetCandidates(const TileSnapshot& snap,
   ++stats_.retrievals;
   const std::vector<Point>& users = *users_;
   const size_t m = users.size();
-  MPN_DCHECK(snap.users() == m);
+  MPN_DCHECK(snap->users() == m);
   // Tight per-call delta on the calling thread (see node_accesses()).
   const uint64_t accesses_before = tree_.node_accesses();
 
   if (!use_pruning_) {  // ablation baseline: every non-result POI
     tree_.Traverse([](const Rect&) { return true; },
                    [&](const Point& p, uint32_t id) {
-                     if (id != po_id_) items.push_back({id, p});
+                     if (id != po_id_) items.push_back(snap->Intern(id, p));
                    });
     SortCandidatesById(&items);
     stats_.candidates_total += items.size();
@@ -101,12 +130,12 @@ bool FreshCandidateSource::GetCandidates(const TileSnapshot& snap,
 
   // Per-user displacement bounds r_up (tile s counts for user_i).
   bound.resize(m);
-  for (size_t j = 0; j < m; ++j) bound[j] = snap.r_up(j);
+  for (size_t j = 0; j < m; ++j) bound[j] = snap->r_up(j);
   bound[user_i] = std::max(bound[user_i], s.MaxDist(users[user_i]));
   if (obj_ == Objective::kMax) {
     // Theorem 3: p survives iff ||p,u_j|| <= ||po,R||_top + r_up_j for all j.
     double top = s.MaxDist(po_);
-    for (size_t j = 0; j < m; ++j) top = std::max(top, snap.top(j));
+    for (size_t j = 0; j < m; ++j) top = std::max(top, snap->top(j));
     for (size_t j = 0; j < m; ++j) bound[j] = top + bound[j];
   } else {
     // Theorem 6: p survives iff ||p,U||_sum <= ||po,U||_sum + 2*sum_j r_up_j.
@@ -114,6 +143,43 @@ bool FreshCandidateSource::GetCandidates(const TileSnapshot& snap,
     for (size_t j = 0; j < m; ++j) sum_r += bound[j];
     bound.assign(1, po_sum_ + 2.0 * sum_r);
   }
+
+  if (parent != nullptr) {
+    if (BoundsWithin(bound, parent->bound)) {
+      Filter(*snap, parent->items, bound, &items);
+    } else {
+      Traverse(snap, bound, &items);
+    }
+  } else {
+    if (!BoundsWithin(bound, widest_.bound)) {
+      if (widest_.bound.size() != bound.size()) widest_.bound = bound;
+      for (size_t j = 0; j < bound.size(); ++j) {
+        widest_.bound[j] = std::max(widest_.bound[j], bound[j]);
+      }
+      widest_.items.clear();
+      Traverse(snap, widest_.bound, &widest_.items);
+    }
+    Filter(*snap, widest_.items, bound, &items);
+  }
+  node_accesses_ += tree_.node_accesses() - accesses_before;
+  stats_.candidates_total += items.size();
+  return true;
+}
+
+void FreshCandidateSource::Traverse(TileSnapshot* snap,
+                                    const std::vector<double>& bound,
+                                    std::vector<Candidate>* out) const {
+  const std::vector<Point>& users = *users_;
+  const size_t m = users.size();
+  const auto visit = [&](const Rect& mbr) {
+    if (obj_ == Objective::kSum) {
+      return AggMinDist(mbr, users, Objective::kSum) <= bound[0];
+    }
+    for (size_t j = 0; j < m; ++j) {
+      if (mbr.MinDist(users[j]) > bound[j]) return false;
+    }
+    return true;
+  };
   const auto survives = [&](const Point& p) {
     if (obj_ == Objective::kSum) {
       return AggDist(p, users, Objective::kSum) <= bound[0];
@@ -123,30 +189,31 @@ bool FreshCandidateSource::GetCandidates(const TileSnapshot& snap,
     }
     return true;
   };
+  tree_.Traverse(visit, [&](const Point& p, uint32_t id) {
+    if (id != po_id_ && survives(p)) out->push_back(snap->Intern(id, p));
+  });
+  SortCandidatesById(out);
+}
 
-  if (parent != nullptr && BoundsWithin(bound, parent->bound)) {
-    // The parent list is sorted by id and excludes po already.
-    for (const Candidate& c : parent->items) {
-      if (survives(c.p)) items.push_back(c);
+void FreshCandidateSource::Filter(const TileSnapshot& snap,
+                                  const std::vector<Candidate>& from,
+                                  const std::vector<double>& bound,
+                                  std::vector<Candidate>* out) const {
+  // The same predicate as Traverse, on the rows' Dist(p,u_j): summed in
+  // user order from 0.0 it is the double AggDist(p, users, kSum) returns.
+  const size_t m = snap.users();
+  for (const Candidate& c : from) {
+    const double* dist = snap.dist(c.slot);
+    bool keep = true;
+    if (obj_ == Objective::kSum) {
+      double sum = 0.0;
+      for (size_t j = 0; j < m; ++j) sum += dist[j];
+      keep = sum <= bound[0];
+    } else {
+      for (size_t j = 0; j < m && keep; ++j) keep = dist[j] <= bound[j];
     }
-  } else {
-    const auto visit = [&](const Rect& mbr) {
-      if (obj_ == Objective::kSum) {
-        return AggMinDist(mbr, users, Objective::kSum) <= bound[0];
-      }
-      for (size_t j = 0; j < m; ++j) {
-        if (mbr.MinDist(users[j]) > bound[j]) return false;
-      }
-      return true;
-    };
-    tree_.Traverse(visit, [&](const Point& p, uint32_t id) {
-      if (id != po_id_ && survives(p)) items.push_back({id, p});
-    });
-    SortCandidatesById(&items);
-    node_accesses_ += tree_.node_accesses() - accesses_before;
+    if (keep) out->push_back(c);
   }
-  stats_.candidates_total += items.size();
-  return true;
 }
 
 BufferedCandidateSource::BufferedCandidateSource(
@@ -175,7 +242,7 @@ double BufferedCandidateSource::Beta(int z) const {
   return betas_[static_cast<size_t>(z) - 1];
 }
 
-bool BufferedCandidateSource::GetCandidates(const TileSnapshot& snap,
+bool BufferedCandidateSource::GetCandidates(TileSnapshot* snap,
                                             size_t user_i, const Rect& s,
                                             const CandidateSet* parent,
                                             CandidateSet* out) {
@@ -184,10 +251,10 @@ bool BufferedCandidateSource::GetCandidates(const TileSnapshot& snap,
   out->bound.clear();
   ++stats_.retrievals;
   const size_t m = users_.size();
-  MPN_DCHECK(snap.users() == m);
+  MPN_DCHECK(snap->users() == m);
   // Algorithm 5 line 1: the largest displacement any user can have.
   double dist = s.MaxDist(users_[user_i]);
-  for (size_t j = 0; j < m; ++j) dist = std::max(dist, snap.r_up(j));
+  for (size_t j = 0; j < m; ++j) dist = std::max(dist, snap->r_up(j));
   // Minimum slot z with dist <= beta_z (binary search; betas are sorted).
   const auto it = std::lower_bound(betas_.begin(), betas_.end(), dist);
   if (it == betas_.end()) {
@@ -196,10 +263,12 @@ bool BufferedCandidateSource::GetCandidates(const TileSnapshot& snap,
   }
   const int z = static_cast<int>(it - betas_.begin()) + 1;
   // Verify against P*_{1..z} - {po} = buffered points 2..z.
-  for (int j = 1; j < z && static_cast<size_t>(j) < buffer_.size(); ++j) {
-    out->items.push_back({buffer_[static_cast<size_t>(j)].id,
-                          buffer_[static_cast<size_t>(j)].p});
+  const size_t n = std::min(static_cast<size_t>(z), buffer_.size()) - 1;
+  while (interned_.size() < n) {
+    const GnnCursor::Item& item = buffer_[interned_.size() + 1];
+    interned_.push_back(snap->Intern(item.id, item.p));
   }
+  out->items.assign(interned_.begin(), interned_.begin() + n);
   stats_.candidates_total += out->items.size();
   return true;
 }

@@ -4,8 +4,9 @@
 // displace the current optimum. Two sources are provided:
 //
 //  * FreshCandidateSource — prunes with Theorem 3 (MAX) or Theorem 6 (SUM).
-//    A top-level tile traverses the R-tree; a sub-tile filters its parent
-//    tile's candidates instead whenever its bounds are no larger. Exact
+//    A sub-tile filters its parent tile's candidates whenever its bounds
+//    are no larger; a top-level tile filters the widest retrieval made so
+//    far, traversing the R-tree only when its bounds outgrow it. Exact
 //    either way; the traversals are the cost the Section-5.4 buffering
 //    removes.
 //
@@ -18,6 +19,7 @@
 
 #include <cstdint>
 #include <optional>
+#include <unordered_map>
 #include <vector>
 
 #include "index/gnn.h"
@@ -27,7 +29,13 @@ namespace mpn {
 
 /// A POI that must be checked during tile verification.
 struct Candidate {
+  /// The slot of a candidate that has no row (not built by Intern).
+  static constexpr uint32_t kNoSlot = UINT32_MAX;
+
   uint32_t id = 0;
+  /// The candidate's row in the computation's TileSnapshot (Intern). The
+  /// SoA verifier reads it; the AoS verifiers ignore it.
+  uint32_t slot = kNoSlot;
   Point p;
 };
 
@@ -41,6 +49,13 @@ struct Candidate {
 /// monotone, so they equal a RectMaxDistReduce fold over the whole region
 /// bit for bit. Both candidate retrieval (the Theorem-3/6 bounds) and the
 /// SoA verification kernel (the hoisted ||po,t||_max lanes) read it.
+///
+/// The same holds per candidate: each distinct POI a computation verifies
+/// gets one row (Intern) holding Dist(p,u_j) for every user and the running
+/// min over R_j of squared ||p,t||_min, folded with the RectMinDist2Lane
+/// formula when the row is created and again on every Add. Candidate
+/// retrieval filters on the row's distances, and GT-Verify decides its
+/// line-1 Lemma-1 test from top(j) and the row without a lane scan.
 class TileSnapshot {
  public:
   /// Takes one region per user (tiles already in them are folded in).
@@ -65,6 +80,26 @@ class TileSnapshot {
   /// 0 for an empty region.
   double r_up(size_t j) const { return derived_[j].r_up; }
 
+  /// The candidate for POI `id` at `p`, with its row: looked up when `id`
+  /// was interned before, else created and folded over every region.
+  Candidate Intern(uint32_t id, const Point& p);
+
+  /// Number of interned candidates.
+  size_t rows() const { return row_points_.size(); }
+
+  /// The location row `slot` was interned with.
+  const Point& row_point(uint32_t slot) const { return row_points_[slot]; }
+
+  /// Dist(p,u_j) of row `slot`'s candidate, j = 0..users()-1.
+  const double* dist(uint32_t slot) const {
+    return rows_.data() + size_t{slot} * 2 * users();
+  }
+
+  /// min over t in R_j of squared ||p,t||_min of row `slot`'s candidate,
+  /// j = 0..users()-1; +inf for an empty region. Its sqrt is
+  /// ||p,R_j||_min.
+  const double* min_mn2(uint32_t slot) const { return dist(slot) + users(); }
+
   /// Moves the regions out; the snapshot is spent afterwards.
   std::vector<TileRegion> TakeRegions() { return std::move(regions_); }
 
@@ -82,6 +117,10 @@ class TileSnapshot {
   std::vector<Point> users_;
   Point po_;
   std::vector<Derived> derived_;
+  // Candidate rows, 2 * users() doubles each: Dist(p,u_j), then min_mn2.
+  std::vector<double> rows_;
+  std::vector<Point> row_points_;
+  std::unordered_map<uint32_t, uint32_t> slot_of_;  // POI id -> row
 };
 
 /// One retrieval: the candidates (sorted by id) and the Theorem-3/6 bounds
@@ -107,12 +146,14 @@ class CandidateSource {
 
   /// Computes the candidates that must be verified when tile `s` (geometric
   /// extent) is being allocated to `user_i`, given the current tile regions.
-  /// `parent`, when non-null, is the retrieval of a tile containing `s`
-  /// made while the regions held a subset of their current tiles; a source
-  /// may derive the result from it instead of querying the index. Returns
-  /// false when the tile must be rejected without verification (buffered
-  /// mode: no valid distance-threshold slot).
-  virtual bool GetCandidates(const TileSnapshot& snap, size_t user_i,
+  /// Every returned candidate is interned in `snap`. `parent`, when
+  /// non-null, is the retrieval of a tile containing `s` made while the
+  /// regions held a subset of their current tiles; a source may derive the
+  /// result from it instead of querying the index. Returns false when the
+  /// tile must be rejected without verification (buffered mode: no valid
+  /// distance-threshold slot). A source serves one snapshot: the slots it
+  /// keeps between calls index that snapshot's rows.
+  virtual bool GetCandidates(TileSnapshot* snap, size_t user_i,
                              const Rect& s, const CandidateSet* parent,
                              CandidateSet* out) = 0;
 
@@ -133,14 +174,18 @@ class CandidateSource {
 
 /// Theorem 3 / Theorem 6 pruned retrieval.
 ///
-/// Without a parent the R-tree is traversed. With a parent whose every
-/// bound is >= this tile's, the parent's candidates are filtered with the
-/// same point predicate instead: a smaller bound prunes a superset of index
-/// nodes and MBR pruning is sound, so that yields exactly the traversal's
-/// set. A sub-tile's bounds are mathematically no larger than its parent's
-/// (it lies inside the parent, and so does every tile committed since), but
-/// its corners are recomputed from the grid and can exceed the parent's by
-/// an ulp; any larger bound falls back to the traversal.
+/// A traversal at bounds B returns exactly the POIs whose point predicate
+/// holds at B: MBR pruning is sound. So any list retrieved at bounds >= B,
+/// component by component, filtered with the predicate at B yields that
+/// same set, and the predicate reads the candidate rows' cached distances.
+/// With a parent whose every bound is >= this tile's, the parent's list is
+/// filtered. A sub-tile's bounds are mathematically no larger than its
+/// parent's (it lies inside the parent, and so does every tile committed
+/// since), but its corners are recomputed from the grid and can exceed the
+/// parent's by an ulp; any larger bound falls back to a traversal. Without
+/// a parent, the widest retrieval made so far is filtered; when some bound
+/// exceeds it, the index is traversed once at the componentwise max of the
+/// two, which becomes the new widest retrieval.
 class FreshCandidateSource : public CandidateSource {
  public:
   /// `tree`, `users` must outlive the source. `po_id`/`po` identify the
@@ -154,10 +199,19 @@ class FreshCandidateSource : public CandidateSource {
                        Objective obj, uint32_t po_id, const Point& po,
                        bool use_pruning = true);
 
-  bool GetCandidates(const TileSnapshot& snap, size_t user_i, const Rect& s,
+  bool GetCandidates(TileSnapshot* snap, size_t user_i, const Rect& s,
                      const CandidateSet* parent, CandidateSet* out) override;
 
  private:
+  // Fills the empty `out` with the interned POIs (po excluded) whose
+  // predicate holds at `bound`, sorted by id.
+  void Traverse(TileSnapshot* snap, const std::vector<double>& bound,
+                std::vector<Candidate>* out) const;
+  // Appends the members of `from` whose predicate holds at `bound`.
+  void Filter(const TileSnapshot& snap, const std::vector<Candidate>& from,
+              const std::vector<double>& bound,
+              std::vector<Candidate>* out) const;
+
   SpatialIndex tree_;
   const std::vector<Point>* users_;
   Objective obj_;
@@ -165,6 +219,7 @@ class FreshCandidateSource : public CandidateSource {
   Point po_;
   double po_sum_;  // ||po,U||_sum (Theorem 6)
   bool use_pruning_;
+  CandidateSet widest_;  // widest top-level retrieval so far
 };
 
 /// Theorem 4 / Theorem 7 buffered retrieval (Algorithm 5).
@@ -177,7 +232,8 @@ class BufferedCandidateSource : public CandidateSource {
                           Objective obj, int b);
 
   /// Ignores `parent`: the buffer already bounds every call to O(b).
-  bool GetCandidates(const TileSnapshot& snap, size_t user_i, const Rect& s,
+  /// Buffered points are interned in buffer order, on first use.
+  bool GetCandidates(TileSnapshot* snap, size_t user_i, const Rect& s,
                      const CandidateSet* parent, CandidateSet* out) override;
 
   /// The optimum (first buffered GNN).
@@ -194,6 +250,7 @@ class BufferedCandidateSource : public CandidateSource {
   Objective obj_;
   std::vector<GnnCursor::Item> buffer_;  // best b+1 GNNs (or fewer)
   std::vector<double> betas_;            // betas_[z-1] = beta_z, z = 1..b
+  std::vector<Candidate> interned_;      // buffer_[1..] with their rows
 };
 
 }  // namespace mpn

@@ -77,7 +77,7 @@ bool DivideVerify(TileSnapshot* snap, size_t user_i, const GridTile& tile,
 
   CandidateSet& retrieved = scratch->levels[static_cast<size_t>(level)];
   const std::vector<Candidate>& candidates = retrieved.items;
-  bool ok = source->GetCandidates(*snap, user_i, rect, parent, &retrieved);
+  bool ok = source->GetCandidates(snap, user_i, rect, parent, &retrieved);
   if (ok && !candidates.empty()) {
     const bool use_lanes =
         kernel == KernelKind::kSoA && verifier->lanes_capable();

@@ -28,13 +28,13 @@ namespace {
 constexpr double kInf = std::numeric_limits<double>::infinity();
 
 // Per-user lane aggregates of the GT-Verify scan (see VerifyTileLanes).
-// All five are min/max selections over per-lane values, so any evaluation
+// All three are min/max selections over per-lane values, so any evaluation
 // order — including the two-accumulator SIMD split below — produces the
-// identical doubles.
+// identical doubles. The whole-region max ||po,t||_max and min squared
+// ||p,t||_min are not folded here: the snapshot keeps them (top(j) and
+// the candidate row).
 struct UserLaneAgg {
-  double maxmax_all = 0.0;   // max ||po,t||_max
   double min_mx = kInf;      // min ||po,t||_max   (-> has_t)
-  double minmin_all2 = kInf; // min squared ||p,t||_min
   double maxmax_s = 0.0;     // max ||po,t||_max over lanes with mn < d_p
   double minmin_t2 = kInf;   // min squared ||p,t||_min over lanes mx < d_o
 };
@@ -43,51 +43,46 @@ struct UserLaneAgg {
 // forms (identities: 0 for max over nonnegative distances, +inf for min).
 inline void FoldLane(double mn2, double mx, double d_o, double t_lt,
                      UserLaneAgg* a) {
-  a->maxmax_all = std::max(a->maxmax_all, mx);
   a->min_mx = std::min(a->min_mx, mx);
-  a->minmin_all2 = std::min(a->minmin_all2, mn2);
   const bool below_do = mx < d_o;
   const bool below_dp = mn2 <= t_lt;
   a->maxmax_s = std::max(a->maxmax_s, below_dp ? mx : 0.0);
   a->minmin_t2 = std::min(a->minmin_t2, below_do ? mn2 : kInf);
 }
 
-// Folds lanes [k, end) with the scalar loop into an existing aggregate —
+// Folds lanes [k, r.n) with the scalar loop into an existing aggregate —
 // the reference path and the shared tail of both SIMD paths.
 inline void FoldScalarLanes(const RectLanes& r, const double* max_po,
-                            size_t k, size_t end, double px, double py,
-                            double d_o, double t_lt, UserLaneAgg* a) {
-  for (; k < end; ++k) {
-    const double dx =
-        std::max(std::max(r.lo_x[k] - px, 0.0), px - r.hi_x[k]);
-    const double dy =
-        std::max(std::max(r.lo_y[k] - py, 0.0), py - r.hi_y[k]);
-    FoldLane(dx * dx + dy * dy, max_po[k], d_o, t_lt, a);
+                            size_t k, double px, double py, double d_o,
+                            double t_lt, UserLaneAgg* a) {
+  for (; k < r.n; ++k) {
+    FoldLane(RectMinDist2Lane(r, k, px, py), max_po[k], d_o, t_lt, a);
   }
 }
 
 // Pure-scalar aggregation (MPN_LANE_ISA=scalar, or no SSE2 at build time).
 UserLaneAgg AggregateUserLanesScalar(const RectLanes& r, const double* max_po,
-                                     size_t begin, size_t end, double px,
-                                     double py, double d_o, double t_lt) {
+                                     double px, double py, double d_o,
+                                     double t_lt) {
   UserLaneAgg a;
-  FoldScalarLanes(r, max_po, begin, end, px, py, d_o, t_lt, &a);
+  FoldScalarLanes(r, max_po, 0, px, py, d_o, t_lt, &a);
   return a;
 }
 
 #if defined(__SSE2__)
-// Aggregates lanes [begin, end): squared Rect::MinDist per lane (the exact
-// IEEE square the scalar path feeds to sqrt) plus the five reductions. GCC
+// Aggregates all lanes of one user: squared Rect::MinDist per lane (the exact
+// IEEE square the scalar path feeds to sqrt) plus the three reductions. GCC
 // will not auto-vectorize floating min/max reductions without fast-math,
 // so the two-wide SSE2 form is written out by hand; maxpd/minpd/cmppd are
 // exact IEEE selections and compares, keeping every aggregate bit-identical
 // to the scalar loop (the fallback below and the tail share its code).
 UserLaneAgg AggregateUserLanesSse2(const RectLanes& r, const double* max_po,
-                                   size_t begin, size_t end, double px,
-                                   double py, double d_o, double t_lt) {
+                                   double px, double py, double d_o,
+                                   double t_lt) {
   UserLaneAgg a;
-  size_t k = begin;
-  if (end - k >= 2) {
+  const size_t end = r.n;
+  size_t k = 0;
+  if (end >= 2) {
     const __m128d vpx = _mm_set1_pd(px);
     const __m128d vpy = _mm_set1_pd(py);
     const __m128d vdo = _mm_set1_pd(d_o);
@@ -97,12 +92,10 @@ UserLaneAgg AggregateUserLanesSse2(const RectLanes& r, const double* max_po,
     // Two accumulator sets (4 lanes per iteration) so the serial
     // min/max latency chains overlap; accumulators merge with the same
     // selection at the end, so the split cannot change any value.
-    __m128d maxmax_all = vzero, min_mx = vinf, minmin_all2 = vinf;
-    __m128d maxmax_s = vzero, minmin_t2 = vinf;
-    __m128d maxmax_all1 = vzero, min_mx1 = vinf, minmin_all21 = vinf;
-    __m128d maxmax_s1 = vzero, minmin_t21 = vinf;
-    const auto fold2 = [&](size_t at, __m128d* mm_all, __m128d* mn_mx,
-                           __m128d* mn_all2, __m128d* mm_s, __m128d* mn_t2) {
+    __m128d min_mx = vinf, maxmax_s = vzero, minmin_t2 = vinf;
+    __m128d min_mx1 = vinf, maxmax_s1 = vzero, minmin_t21 = vinf;
+    const auto fold2 = [&](size_t at, __m128d* mn_mx, __m128d* mm_s,
+                           __m128d* mn_t2) {
       const __m128d dx = _mm_max_pd(
           _mm_max_pd(_mm_sub_pd(_mm_loadu_pd(r.lo_x + at), vpx), vzero),
           _mm_sub_pd(vpx, _mm_loadu_pd(r.hi_x + at)));
@@ -112,9 +105,7 @@ UserLaneAgg AggregateUserLanesSse2(const RectLanes& r, const double* max_po,
       const __m128d mn2 =
           _mm_add_pd(_mm_mul_pd(dx, dx), _mm_mul_pd(dy, dy));
       const __m128d mx = _mm_loadu_pd(max_po + at);
-      *mm_all = _mm_max_pd(*mm_all, mx);
       *mn_mx = _mm_min_pd(*mn_mx, mx);
-      *mn_all2 = _mm_min_pd(*mn_all2, mn2);
       const __m128d below_dp = _mm_cmple_pd(mn2, vtl);
       const __m128d below_do = _mm_cmplt_pd(mx, vdo);
       // below_dp ? mx : 0.0 — the all-ones mask ANDs to mx, else +0.0.
@@ -124,31 +115,22 @@ UserLaneAgg AggregateUserLanesSse2(const RectLanes& r, const double* max_po,
                             _mm_andnot_pd(below_do, vinf)));
     };
     for (; k + 4 <= end; k += 4) {
-      fold2(k, &maxmax_all, &min_mx, &minmin_all2, &maxmax_s, &minmin_t2);
-      fold2(k + 2, &maxmax_all1, &min_mx1, &minmin_all21, &maxmax_s1,
-            &minmin_t21);
+      fold2(k, &min_mx, &maxmax_s, &minmin_t2);
+      fold2(k + 2, &min_mx1, &maxmax_s1, &minmin_t21);
     }
-    for (; k + 2 <= end; k += 2) {
-      fold2(k, &maxmax_all, &min_mx, &minmin_all2, &maxmax_s, &minmin_t2);
-    }
-    maxmax_all = _mm_max_pd(maxmax_all, maxmax_all1);
+    for (; k + 2 <= end; k += 2) fold2(k, &min_mx, &maxmax_s, &minmin_t2);
     min_mx = _mm_min_pd(min_mx, min_mx1);
-    minmin_all2 = _mm_min_pd(minmin_all2, minmin_all21);
     maxmax_s = _mm_max_pd(maxmax_s, maxmax_s1);
     minmin_t2 = _mm_min_pd(minmin_t2, minmin_t21);
     double lane2[2];
-    _mm_storeu_pd(lane2, maxmax_all);
-    a.maxmax_all = std::max(lane2[0], lane2[1]);
     _mm_storeu_pd(lane2, min_mx);
     a.min_mx = std::min(lane2[0], lane2[1]);
-    _mm_storeu_pd(lane2, minmin_all2);
-    a.minmin_all2 = std::min(lane2[0], lane2[1]);
     _mm_storeu_pd(lane2, maxmax_s);
     a.maxmax_s = std::max(lane2[0], lane2[1]);
     _mm_storeu_pd(lane2, minmin_t2);
     a.minmin_t2 = std::min(lane2[0], lane2[1]);
   }
-  FoldScalarLanes(r, max_po, k, end, px, py, d_o, t_lt, &a);
+  FoldScalarLanes(r, max_po, k, px, py, d_o, t_lt, &a);
   return a;
 }
 #endif  // __SSE2__
@@ -160,8 +142,7 @@ UserLaneAgg AggregateUserLanesSse2(const RectLanes& r, const double* max_po,
 __attribute__((target("avx2"))) inline void Fold4Avx2(
     const RectLanes& r, const double* max_po, size_t at, __m256d vpx,
     __m256d vpy, __m256d vdo, __m256d vtl, __m256d vzero, __m256d vinf,
-    __m256d* mm_all, __m256d* mn_mx, __m256d* mn_all2, __m256d* mm_s,
-    __m256d* mn_t2) {
+    __m256d* mn_mx, __m256d* mm_s, __m256d* mn_t2) {
   const __m256d dx = _mm256_max_pd(
       _mm256_max_pd(_mm256_sub_pd(_mm256_loadu_pd(r.lo_x + at), vpx), vzero),
       _mm256_sub_pd(vpx, _mm256_loadu_pd(r.hi_x + at)));
@@ -171,9 +152,7 @@ __attribute__((target("avx2"))) inline void Fold4Avx2(
   const __m256d mn2 =
       _mm256_add_pd(_mm256_mul_pd(dx, dx), _mm256_mul_pd(dy, dy));
   const __m256d mx = _mm256_loadu_pd(max_po + at);
-  *mm_all = _mm256_max_pd(*mm_all, mx);
   *mn_mx = _mm256_min_pd(*mn_mx, mx);
-  *mn_all2 = _mm256_min_pd(*mn_all2, mn2);
   const __m256d below_dp = _mm256_cmp_pd(mn2, vtl, _CMP_LE_OQ);
   const __m256d below_do = _mm256_cmp_pd(mx, vdo, _CMP_LT_OQ);
   *mm_s = _mm256_max_pd(*mm_s, _mm256_and_pd(below_dp, mx));
@@ -187,47 +166,37 @@ __attribute__((target("avx2"))) inline void Fold4Avx2(
 // their SSE2 counterparts and the reductions are pure min/max, so every
 // aggregate stays bit-identical to the scalar loop.
 __attribute__((target("avx2"))) UserLaneAgg AggregateUserLanesAvx2(
-    const RectLanes& r, const double* max_po, size_t begin, size_t end,
-    double px, double py, double d_o, double t_lt) {
+    const RectLanes& r, const double* max_po, double px, double py,
+    double d_o, double t_lt) {
   UserLaneAgg a;
-  size_t k = begin;
-  if (end - k >= 4) {
+  const size_t end = r.n;
+  size_t k = 0;
+  if (end >= 4) {
     const __m256d vpx = _mm256_set1_pd(px);
     const __m256d vpy = _mm256_set1_pd(py);
     const __m256d vdo = _mm256_set1_pd(d_o);
     const __m256d vtl = _mm256_set1_pd(t_lt);
     const __m256d vzero = _mm256_setzero_pd();
     const __m256d vinf = _mm256_set1_pd(kInf);
-    __m256d maxmax_all = vzero, min_mx = vinf, minmin_all2 = vinf;
-    __m256d maxmax_s = vzero, minmin_t2 = vinf;
-    __m256d maxmax_all1 = vzero, min_mx1 = vinf, minmin_all21 = vinf;
-    __m256d maxmax_s1 = vzero, minmin_t21 = vinf;
+    __m256d min_mx = vinf, maxmax_s = vzero, minmin_t2 = vinf;
+    __m256d min_mx1 = vinf, maxmax_s1 = vzero, minmin_t21 = vinf;
     for (; k + 8 <= end; k += 8) {
-      Fold4Avx2(r, max_po, k, vpx, vpy, vdo, vtl, vzero, vinf, &maxmax_all,
-                &min_mx, &minmin_all2, &maxmax_s, &minmin_t2);
-      Fold4Avx2(r, max_po, k + 4, vpx, vpy, vdo, vtl, vzero, vinf,
-                &maxmax_all1, &min_mx1, &minmin_all21, &maxmax_s1,
-                &minmin_t21);
+      Fold4Avx2(r, max_po, k, vpx, vpy, vdo, vtl, vzero, vinf, &min_mx,
+                &maxmax_s, &minmin_t2);
+      Fold4Avx2(r, max_po, k + 4, vpx, vpy, vdo, vtl, vzero, vinf, &min_mx1,
+                &maxmax_s1, &minmin_t21);
     }
     for (; k + 4 <= end; k += 4) {
-      Fold4Avx2(r, max_po, k, vpx, vpy, vdo, vtl, vzero, vinf, &maxmax_all,
-                &min_mx, &minmin_all2, &maxmax_s, &minmin_t2);
+      Fold4Avx2(r, max_po, k, vpx, vpy, vdo, vtl, vzero, vinf, &min_mx,
+                &maxmax_s, &minmin_t2);
     }
-    maxmax_all = _mm256_max_pd(maxmax_all, maxmax_all1);
     min_mx = _mm256_min_pd(min_mx, min_mx1);
-    minmin_all2 = _mm256_min_pd(minmin_all2, minmin_all21);
     maxmax_s = _mm256_max_pd(maxmax_s, maxmax_s1);
     minmin_t2 = _mm256_min_pd(minmin_t2, minmin_t21);
     double lane4[4];
-    _mm256_storeu_pd(lane4, maxmax_all);
-    a.maxmax_all = std::max(std::max(lane4[0], lane4[1]),
-                            std::max(lane4[2], lane4[3]));
     _mm256_storeu_pd(lane4, min_mx);
     a.min_mx = std::min(std::min(lane4[0], lane4[1]),
                         std::min(lane4[2], lane4[3]));
-    _mm256_storeu_pd(lane4, minmin_all2);
-    a.minmin_all2 = std::min(std::min(lane4[0], lane4[1]),
-                             std::min(lane4[2], lane4[3]));
     _mm256_storeu_pd(lane4, maxmax_s);
     a.maxmax_s = std::max(std::max(lane4[0], lane4[1]),
                           std::max(lane4[2], lane4[3]));
@@ -235,13 +204,13 @@ __attribute__((target("avx2"))) UserLaneAgg AggregateUserLanesAvx2(
     a.minmin_t2 = std::min(std::min(lane4[0], lane4[1]),
                            std::min(lane4[2], lane4[3]));
   }
-  FoldScalarLanes(r, max_po, k, end, px, py, d_o, t_lt, &a);
+  FoldScalarLanes(r, max_po, k, px, py, d_o, t_lt, &a);
   return a;
 }
 #endif  // MPN_HAVE_AVX2_PATH
 
-using LaneAggFn = UserLaneAgg (*)(const RectLanes&, const double*, size_t,
-                                  size_t, double, double, double, double);
+using LaneAggFn = UserLaneAgg (*)(const RectLanes&, const double*, double,
+                                  double, double, double);
 
 // Picks the widest fold the CPU supports. `request` (normally the
 // MPN_LANE_ISA environment variable) pins a narrower path for differential
@@ -276,10 +245,9 @@ inline LaneAggFn LaneAggImpl() {
 }
 
 inline UserLaneAgg AggregateUserLanes(const RectLanes& r,
-                                      const double* max_po, size_t begin,
-                                      size_t end, double px, double py,
-                                      double d_o, double t_lt) {
-  return LaneAggImpl()(r, max_po, begin, end, px, py, d_o, t_lt);
+                                      const double* max_po, double px,
+                                      double py, double d_o, double t_lt) {
+  return LaneAggImpl()(r, max_po, px, py, d_o, t_lt);
 }
 
 }  // namespace
@@ -438,8 +406,13 @@ bool MaxGtVerifier::VerifyTileThreadSafe(const std::vector<TileRegion>& regions,
 bool MaxGtVerifier::VerifyTileLanes(const TileLanes& lanes, size_t user_i,
                                     const Rect& s, const Candidate& cand,
                                     VerifyStats* stats) const {
-  // Decision-identical to VerifyTileThreadSafe, but the lane loop runs in
-  // the squared-distance domain with no per-lane sqrt or branch:
+  // Decision-identical to VerifyTileThreadSafe. The whole-region values
+  // (line 1, case 4's M* and N*, the G^dd u G^ud emptiness test) come from
+  // the snapshot: top(j) is max ||po,t||_max over R_j and the candidate
+  // row's min_mn2[j] the min squared ||p,t||_min, both folded once per
+  // tile. So line 1 is decided in O(m) before any lane is read. Only when
+  // it fails does the lane loop run, in the squared-distance domain with
+  // no per-lane sqrt or branch:
   //  - mx = ||po,t||_max is read from the snapshot, which computed it once
   //    when the tile was committed (the candidate-independent half of every
   //    GT predicate);
@@ -455,54 +428,49 @@ bool MaxGtVerifier::VerifyTileLanes(const TileLanes& lanes, size_t user_i,
   ++stats->calls;
   const double d_o = lanes.d_o;          // == s.MaxDist(po)
   const double d_p = s.MinDist(cand.p);  // dominant min dist of the new tile
-  const double t_lt = SqrtLtThreshold(d_p);
-  const double px = cand.p.x, py = cand.p.y;
+  const TileSnapshot& snap = *lanes.tiles;
+  const size_t m = snap.users();
+  MPN_DCHECK(cand.slot < snap.rows() && snap.row_point(cand.slot) == cand.p);
+  const double* min_mn2 = snap.min_mn2(cand.slot);
 
-  double full_top = d_o;
-  double full_bot = d_p;
+  // Line 1: Lemma 1 on the whole regions with {s} for user_i. The maxima
+  // over the other users are also case 4's M* and N*.
   double m_star = 0.0;
   double n_star = 0.0;
+  for (size_t j = 0; j < m; ++j) {
+    if (j == user_i) continue;
+    m_star = std::max(m_star, snap.top(j));
+    n_star = std::max(n_star, std::sqrt(min_mn2[j]));
+  }
+  if (std::max(d_o, m_star) <= std::max(d_p, n_star)) {
+    ++stats->accepted;
+    return true;
+  }
+  // A single user has no other region: line 1 was the whole test.
+  if (m == 1) return false;
+
+  const double t_lt = SqrtLtThreshold(d_p);
+  const double px = cand.p.x, py = cand.p.y;
   bool any_dd_empty = false;
   bool any_s_empty = false;
   bool any_t_empty = false;
   double case2_top = d_o;
   double case3_bot = d_p;
-  bool has_other = false;
-
-  const TileSnapshot& snap = *lanes.tiles;
-  const size_t m = snap.users();
   for (size_t j = 0; j < m; ++j) {
     if (j == user_i) continue;
-    has_other = true;
     const RectLanes r = snap.region(j).lanes();
     MPN_DCHECK(r.n > 0);
-    const UserLaneAgg agg = AggregateUserLanes(r, snap.max_po(j), 0, r.n, px,
-                                               py, d_o, t_lt);
-    const bool has_s = agg.minmin_all2 <= t_lt;   // some mn < d_p
+    const UserLaneAgg agg =
+        AggregateUserLanes(r, snap.max_po(j), px, py, d_o, t_lt);
+    const bool has_s = min_mn2[j] <= t_lt;        // some mn < d_p
     const bool has_t = agg.min_mx < d_o;          // some mx < d_o
     const bool has_dd = agg.minmin_t2 <= t_lt;    // some lane in both groups
-    const double minmin_all = std::sqrt(agg.minmin_all2);
     const double minmin_t = std::sqrt(agg.minmin_t2);  // +inf stays +inf
-    full_top = std::max(full_top, agg.maxmax_all);
-    full_bot = std::max(full_bot, minmin_all);
-    m_star = std::max(m_star, agg.maxmax_all);
-    n_star = std::max(n_star, minmin_all);
     any_dd_empty |= !has_dd;
     any_s_empty |= !has_s;
     any_t_empty |= !has_t;
     if (has_s) case2_top = std::max(case2_top, agg.maxmax_s);
     if (has_t) case3_bot = std::max(case3_bot, minmin_t);
-  }
-
-  if (!has_other) {
-    const bool ok = d_o <= d_p;
-    if (ok) ++stats->accepted;
-    return ok;
-  }
-
-  if (full_top <= full_bot) {
-    ++stats->accepted;
-    return true;
   }
 
   const bool case1 = any_dd_empty || d_o <= d_p;
@@ -517,15 +485,9 @@ bool MaxGtVerifier::VerifyTileLanes(const TileLanes& lanes, size_t user_i,
   const RectLanes r = snap.region(user_i).lanes();
   const double* max_po = snap.max_po(user_i);
   for (size_t k = 0; k < r.n; ++k) {
-    if (max_po[k] >= d_o) {
-      const double dx =
-          std::max(std::max(r.lo_x[k] - px, 0.0), px - r.hi_x[k]);
-      const double dy =
-          std::max(std::max(r.lo_y[k] - py, 0.0), py - r.hi_y[k]);
-      if (dx * dx + dy * dy <= t_le) {
-        has_role_tile = true;
-        break;
-      }
+    if (max_po[k] >= d_o && RectMinDist2Lane(r, k, px, py) <= t_le) {
+      has_role_tile = true;
+      break;
     }
   }
   const bool case4 = has_role_tile || m_star <= std::max(d_p, n_star);

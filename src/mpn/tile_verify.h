@@ -8,7 +8,9 @@
 //    other user's tiles into the four dominance groups induced by
 //    do = ||po,s||_max and dp = ||p,s||_min and tests the grouped region
 //    sets with Lemma 1 in a single pass per user. Conservative and sound;
-//    O(sum_j |R_j|) per (tile, candidate).
+//    O(sum_j |R_j|) per (tile, candidate), except that the SoA kernel
+//    decides the whole-region Lemma-1 test (line 1) in O(m) from the
+//    snapshot's running values and the candidate's row.
 //
 //  * MaxItVerifier  — IT-Verify: exhaustively enumerates every tile group
 //    <t_1..t_m> and applies Lemma 1 per group. Exact w.r.t. tile-group
@@ -86,10 +88,11 @@ class TileVerifier {
   virtual bool lanes_capable() const { return false; }
 
   /// SoA verification core: decision and counters bit-identical to
-  /// VerifyTileThreadSafe, but reading the snapshot. The lane loop
-  /// runs entirely in the squared-distance domain (no per-lane sqrt; see
-  /// SqrtLtThreshold for the exactness argument), which is where the SoA
-  /// kernel's throughput comes from.
+  /// VerifyTileThreadSafe, but reading the snapshot; `cand` must be
+  /// interned in it (TileSnapshot::Intern). The lane loop runs entirely in
+  /// the squared-distance domain (no per-lane sqrt; see SqrtLtThreshold for
+  /// the exactness argument), which is where the SoA kernel's throughput
+  /// comes from.
   virtual bool VerifyTileLanes(const TileLanes& lanes, size_t user_i,
                                const Rect& s, const Candidate& cand,
                                VerifyStats* stats) const;

@@ -16,6 +16,7 @@
 namespace mpn {
 namespace {
 
+using testutil::BruteForceIds;
 using testutil::MakeScenario;
 using testutil::Scenario;
 
@@ -52,11 +53,11 @@ TEST_P(PruningSoundnessTest, PrunedPointsCanNeverWin) {
 
     FreshCandidateSource source(&s.tree, &s.users, obj, circle.po_id,
                                 circle.po);
-    const TileSnapshot snap(regions, s.users, circle.po);
+    TileSnapshot snap(regions, s.users, circle.po);
     CandidateSet cands;
     const size_t ui = trial % m;
     const Rect tile = regions[ui].TileRect(GridTile{0, 0, 1});
-    ASSERT_TRUE(source.GetCandidates(snap, ui, tile, nullptr, &cands));
+    ASSERT_TRUE(source.GetCandidates(&snap, ui, tile, nullptr, &cands));
 
     std::set<uint32_t> allowed;
     allowed.insert(circle.po_id);
@@ -93,8 +94,9 @@ class ParentReuseTest : public ::testing::TestWithParam<Objective> {};
 // Replays Divide-Verify's recursion shape: a rejected tile's four children
 // (and their children) retrieve with the enclosing tile's set as parent,
 // while some siblings get committed in between. Every parent-derived list
-// must equal a fresh index traversal, and the reuse path must be the one
-// that usually runs (it touches no index node).
+// must equal a fresh index traversal by a source that has made no other
+// retrieval, and the brute-force set; the reuse path must be the one that
+// usually runs (it touches no index node).
 TEST_P(ParentReuseTest, FilteredParentEqualsFreshTraversal) {
   const Objective obj = GetParam();
   Rng rng(0x9A7E);
@@ -108,12 +110,22 @@ TEST_P(ParentReuseTest, FilteredParentEqualsFreshTraversal) {
                       s.users, circle.po);
     FreshCandidateSource source(&s.tree, &s.users, obj, circle.po_id,
                                 circle.po);
-    FreshCandidateSource oracle(&s.tree, &s.users, obj, circle.po_id,
-                                circle.po);
     const size_t ui = trial % m;
+    // A new source per call, so each oracle list comes from its own
+    // traversal at exactly that call's bounds.
+    CandidateStats oracle_stats;
+    const auto fresh_traversal = [&](const Rect& rect, CandidateSet* fresh) {
+      FreshCandidateSource oracle(&s.tree, &s.users, obj, circle.po_id,
+                                  circle.po);
+      ASSERT_TRUE(oracle.GetCandidates(&snap, ui, rect, nullptr, fresh));
+      ASSERT_GT(oracle.node_accesses(), 0u);
+      ASSERT_EQ(Ids(*fresh), BruteForceIds(s, circle.po_id, obj, fresh->bound));
+      oracle_stats.retrievals += oracle.stats().retrievals;
+      oracle_stats.candidates_total += oracle.stats().candidates_total;
+    };
     const GridTile top{0, static_cast<int32_t>(rng.UniformInt(-2, 2)), 1};
     CandidateSet parent;
-    ASSERT_TRUE(source.GetCandidates(snap, ui, snap.region(ui).TileRect(top),
+    ASSERT_TRUE(source.GetCandidates(&snap, ui, snap.region(ui).TileRect(top),
                                      nullptr, &parent));
     GridTile children[4];
     top.Children(children);
@@ -121,9 +133,9 @@ TEST_P(ParentReuseTest, FilteredParentEqualsFreshTraversal) {
       CandidateSet got, fresh;
       const Rect rect = snap.region(ui).TileRect(child);
       const uint64_t before = source.node_accesses();
-      ASSERT_TRUE(source.GetCandidates(snap, ui, rect, &parent, &got));
+      ASSERT_TRUE(source.GetCandidates(&snap, ui, rect, &parent, &got));
       if (source.node_accesses() == before) ++reused;
-      ASSERT_TRUE(oracle.GetCandidates(snap, ui, rect, nullptr, &fresh));
+      ASSERT_NO_FATAL_FAILURE(fresh_traversal(rect, &fresh));
       ASSERT_EQ(Ids(got), Ids(fresh)) << "trial " << trial;
       ++checked;
       GridTile grandchildren[4];
@@ -131,8 +143,8 @@ TEST_P(ParentReuseTest, FilteredParentEqualsFreshTraversal) {
       for (const GridTile& g : grandchildren) {
         CandidateSet g_got, g_fresh;
         const Rect g_rect = snap.region(ui).TileRect(g);
-        ASSERT_TRUE(source.GetCandidates(snap, ui, g_rect, &got, &g_got));
-        ASSERT_TRUE(oracle.GetCandidates(snap, ui, g_rect, nullptr, &g_fresh));
+        ASSERT_TRUE(source.GetCandidates(&snap, ui, g_rect, &got, &g_got));
+        ASSERT_NO_FATAL_FAILURE(fresh_traversal(g_rect, &g_fresh));
         ASSERT_EQ(Ids(g_got), Ids(g_fresh)) << "trial " << trial;
         ++checked;
         if (rng.UniformInt(0, 2) == 0) snap.Add(ui, g);
@@ -140,7 +152,9 @@ TEST_P(ParentReuseTest, FilteredParentEqualsFreshTraversal) {
       if (rng.UniformInt(0, 1) == 0) snap.Add(ui, child);
     }
     // Both paths count retrievals and candidates identically.
-    EXPECT_EQ(source.stats().retrievals, oracle.stats().retrievals + 1);
+    EXPECT_EQ(source.stats().retrievals, oracle_stats.retrievals + 1);
+    EXPECT_EQ(source.stats().candidates_total,
+              oracle_stats.candidates_total + parent.items.size());
   }
   EXPECT_GT(checked, 200u);
   EXPECT_GT(reused, checked / 8);
@@ -154,27 +168,27 @@ TEST_P(ParentReuseTest, LargerChildBoundFallsBackToTraversal) {
   const Scenario s = MakeScenario(400, 3, 7301, 600.0);
   const auto circle = ComputeCircleMsr(s.tree, s.users, obj);
   ASSERT_GT(circle.rmax, 1e-9);
-  const TileSnapshot snap(
+  TileSnapshot snap(
       InitialRegions(s.users, std::sqrt(2.0) * circle.rmax), s.users,
       circle.po);
   FreshCandidateSource source(&s.tree, &s.users, obj, circle.po_id, circle.po);
   const Rect rect = snap.region(1).TileRect(GridTile{1, 2, 1});
   CandidateSet fresh;
-  ASSERT_TRUE(source.GetCandidates(snap, 1, rect, nullptr, &fresh));
+  ASSERT_TRUE(source.GetCandidates(&snap, 1, rect, nullptr, &fresh));
   ASSERT_FALSE(fresh.bound.empty());
 
   constexpr uint32_t kPlanted = 1u << 30;  // no such POI
   CandidateSet parent;
   parent.items = fresh.items;
   // At po it passes every Theorem-3/6 bound (po lies within them all).
-  parent.items.push_back({kPlanted, circle.po});
+  parent.items.push_back(snap.Intern(kPlanted, circle.po));
   for (size_t j = 0; j < fresh.bound.size(); ++j) {
     parent.bound = fresh.bound;
     parent.bound[j] = std::nextafter(parent.bound[j],
                                      -std::numeric_limits<double>::infinity());
     CandidateSet got;
     const uint64_t before = source.node_accesses();
-    ASSERT_TRUE(source.GetCandidates(snap, 1, rect, &parent, &got));
+    ASSERT_TRUE(source.GetCandidates(&snap, 1, rect, &parent, &got));
     EXPECT_GT(source.node_accesses(), before) << "bound " << j;
     EXPECT_EQ(Ids(got), Ids(fresh)) << "bound " << j;
   }
@@ -182,7 +196,7 @@ TEST_P(ParentReuseTest, LargerChildBoundFallsBackToTraversal) {
   parent.bound = fresh.bound;
   CandidateSet got;
   const uint64_t before = source.node_accesses();
-  ASSERT_TRUE(source.GetCandidates(snap, 1, rect, &parent, &got));
+  ASSERT_TRUE(source.GetCandidates(&snap, 1, rect, &parent, &got));
   EXPECT_EQ(source.node_accesses(), before);
   ASSERT_FALSE(got.items.empty());
   EXPECT_EQ(got.items.back().id, kPlanted);
@@ -210,10 +224,10 @@ TEST(PruningTest, PrunesFarPoints) {
   auto regions = InitialRegions(users, delta);
   FreshCandidateSource source(&tree, &users, Objective::kMax, circle.po_id,
                               circle.po);
-  const TileSnapshot snap(regions, users, circle.po);
+  TileSnapshot snap(regions, users, circle.po);
   CandidateSet cands;
   ASSERT_TRUE(source.GetCandidates(
-      snap, 0, regions[0].TileRect(GridTile{0, 1, 0}), nullptr, &cands));
+      &snap, 0, regions[0].TileRect(GridTile{0, 1, 0}), nullptr, &cands));
   for (const Candidate& c : cands.items) EXPECT_NE(c.id, 50u);
   EXPECT_LT(cands.items.size(), pois.size() - 1);
 }
@@ -251,15 +265,15 @@ TEST(BufferTest, SlotSelectionBoundsCandidates) {
   const double delta = 2.0 * source.Beta(1) / std::sqrt(2.0);
   if (delta <= 0) GTEST_SKIP() << "degenerate scenario";
   auto regions = InitialRegions(s.users, delta);
-  const TileSnapshot snap(regions, s.users, source.best().p);
+  TileSnapshot snap(regions, s.users, source.best().p);
   // Tiny tile -> small dist -> few candidates.
   CandidateSet small_cands;
   const Rect small = regions[0].TileRect(GridTile{2, 0, 0});
-  ASSERT_TRUE(source.GetCandidates(snap, 0, small, nullptr, &small_cands));
+  ASSERT_TRUE(source.GetCandidates(&snap, 0, small, nullptr, &small_cands));
   // Far tile -> larger dist -> at least as many candidates (or rejection).
   CandidateSet big_cands;
   const Rect far = regions[0].TileRect(GridTile{0, 10, 0});
-  const bool far_ok = source.GetCandidates(snap, 0, far, nullptr, &big_cands);
+  const bool far_ok = source.GetCandidates(&snap, 0, far, nullptr, &big_cands);
   if (far_ok) {
     EXPECT_GE(big_cands.items.size(), small_cands.items.size());
   } else {
@@ -275,13 +289,13 @@ TEST(BufferTest, RejectsTilesBeyondBetaB) {
   if (!std::isfinite(beta_b)) GTEST_SKIP() << "tiny dataset";
   const double delta = std::max(1e-6, 2.0 * source.Beta(1) / std::sqrt(2.0));
   auto regions = InitialRegions(s.users, delta);
-  const TileSnapshot snap(regions, s.users, source.best().p);
+  TileSnapshot snap(regions, s.users, source.best().p);
   // A tile definitely beyond beta_b from the user.
   const int far_cells =
       static_cast<int>(beta_b / regions[0].CellSide(0)) + 3;
   CandidateSet cands;
   const bool ok = source.GetCandidates(
-      snap, 0, regions[0].TileRect(GridTile{0, far_cells, 0}), nullptr,
+      &snap, 0, regions[0].TileRect(GridTile{0, far_cells, 0}), nullptr,
       &cands);
   EXPECT_FALSE(ok);
 }
@@ -291,10 +305,10 @@ TEST(BufferTest, SmallDatasetInfiniteBetaAcceptsEverything) {
   const Scenario s = MakeScenario(5, 2, 3141);
   BufferedCandidateSource source(s.tree, s.users, Objective::kMax, 100);
   auto regions = InitialRegions(s.users, 10.0);
-  const TileSnapshot snap(regions, s.users, source.best().p);
+  TileSnapshot snap(regions, s.users, source.best().p);
   CandidateSet cands;
   EXPECT_TRUE(source.GetCandidates(
-      snap, 0, regions[0].TileRect(GridTile{0, 50, 0}), nullptr, &cands));
+      &snap, 0, regions[0].TileRect(GridTile{0, 50, 0}), nullptr, &cands));
   // All non-optimal POIs are candidates at most.
   EXPECT_LE(cands.items.size(), s.pois.size() - 1);
 }

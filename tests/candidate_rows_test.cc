@@ -1,0 +1,339 @@
+// Candidate rows of a Tile-MSR computation (TileSnapshot::Intern) and the
+// two consumers that read them instead of recomputing: the widest top-level
+// retrieval of FreshCandidateSource and GT-Verify's line-1 Lemma-1 test in
+// the SoA kernel. Every cached value is checked bit for bit against a full
+// recompute, every list against a brute-force scan, and every decision
+// against the AoS reference walk.
+#include <gtest/gtest.h>
+
+#include <cmath>
+#include <cstdint>
+#include <cstring>
+#include <limits>
+#include <vector>
+
+#include "geom/lanes.h"
+#include "mpn/candidates.h"
+#include "mpn/tile_verify.h"
+#include "msr_test_util.h"
+#include "util/rng.h"
+
+namespace mpn {
+namespace {
+
+using testutil::BruteForceIds;
+using testutil::Scenario;
+
+uint64_t Bits(double d) {
+  uint64_t b;
+  std::memcpy(&b, &d, sizeof(b));
+  return b;
+}
+
+GridTile RandomTile(Rng* rng) {
+  const int32_t level = static_cast<int32_t>(rng->UniformInt(0, 3));
+  const int32_t span = 4 << level;
+  return GridTile{level, static_cast<int32_t>(rng->UniformInt(-span, span)),
+                  static_cast<int32_t>(rng->UniformInt(-span, span))};
+}
+
+// Every row against Dist and a fold of Rect::MinDist2 over the region's
+// rects (a different formula spelling than the snapshot's lanes), and its
+// sqrt against the region's own min-distance reduction.
+void ExpectRowsMatchRecompute(const TileSnapshot& snap,
+                              const std::vector<Point>& users,
+                              const std::vector<Candidate>& interned) {
+  for (const Candidate& c : interned) {
+    const double* dist = snap.dist(c.slot);
+    const double* min_mn2 = snap.min_mn2(c.slot);
+    for (size_t j = 0; j < users.size(); ++j) {
+      ASSERT_EQ(Bits(dist[j]), Bits(Dist(c.p, users[j])))
+          << "slot " << c.slot << " user " << j;
+      double min2 = std::numeric_limits<double>::infinity();
+      for (const Rect& r : snap.region(j).rects()) {
+        min2 = std::min(min2, r.MinDist2(c.p));
+      }
+      ASSERT_EQ(Bits(min_mn2[j]), Bits(min2))
+          << "slot " << c.slot << " user " << j;
+      if (!snap.region(j).empty()) {
+        ASSERT_EQ(Bits(std::sqrt(min_mn2[j])),
+                  Bits(snap.region(j).MinDist(c.p)));
+      }
+    }
+  }
+}
+
+// Rows interned before any tile, between commits and after the last one
+// must all equal a full recompute after every append; re-interning an id
+// returns its row and creates none.
+TEST(CandidateRowsTest, RowsMatchFullRecomputeAsRegionsGrow) {
+  Rng rng(0xC0DE);
+  for (int trial = 0; trial < 40; ++trial) {
+    const size_t m = 1 + static_cast<size_t>(trial % 4);
+    const double extent = trial % 2 == 0 ? 100.0 : 3.0e6;
+    std::vector<Point> users;
+    std::vector<TileRegion> regions;
+    for (size_t j = 0; j < m; ++j) {
+      users.push_back({rng.Uniform(0, extent), rng.Uniform(0, extent)});
+      regions.emplace_back(users.back(), rng.Uniform(0.1, 0.05 * extent));
+      if (trial % 3 == 0) regions.back().Add(RandomTile(&rng));
+    }
+    const Point po{rng.Uniform(0, extent), rng.Uniform(0, extent)};
+    TileSnapshot snap(regions, users, po);
+    std::vector<Candidate> interned;
+    const auto intern_one = [&] {
+      const uint32_t id = static_cast<uint32_t>(interned.size()) * 7 + 3;
+      const Point p{rng.Uniform(0, extent), rng.Uniform(0, extent)};
+      interned.push_back(snap.Intern(id, p));
+      EXPECT_EQ(interned.back().id, id);
+      EXPECT_EQ(interned.back().slot, interned.size() - 1);
+    };
+    for (int k = 0; k < 3; ++k) intern_one();
+    ASSERT_NO_FATAL_FAILURE(ExpectRowsMatchRecompute(snap, users, interned));
+    for (int step = 0; step < 60; ++step) {
+      snap.Add(static_cast<size_t>(rng.UniformInt(0, m - 1)), RandomTile(&rng));
+      if (step % 7 == 0) intern_one();
+      ASSERT_NO_FATAL_FAILURE(ExpectRowsMatchRecompute(snap, users, interned))
+          << "trial " << trial << " step " << step;
+    }
+    const size_t rows = snap.rows();
+    for (const Candidate& c : interned) {
+      const Candidate again = snap.Intern(c.id, c.p);
+      EXPECT_EQ(again.slot, c.slot);
+    }
+    EXPECT_EQ(snap.rows(), rows);
+  }
+}
+
+std::vector<uint32_t> Ids(const CandidateSet& set) {
+  std::vector<uint32_t> ids;
+  for (const Candidate& c : set.items) ids.push_back(c.id);
+  return ids;
+}
+
+class WidestRetrievalTest : public ::testing::TestWithParam<Objective> {};
+
+// Drives top-level retrievals through a bound sequence that grows, repeats,
+// grows in one component while shrinking in another, and exceeds the
+// envelope by one ulp in a single component. Each list must equal the
+// brute-force set and a fresh source's traversal. A bound inside the
+// envelope (the componentwise max of all bounds so far) must touch no index
+// node; one outside it must traverse.
+TEST_P(WidestRetrievalTest, ListsEqualFreshTraversalOverBoundSequence) {
+  const Objective obj = GetParam();
+  // Hand-placed users around the origin: user 2 is far from po, so its
+  // region's top stays the MAX objective's ||po,R||_top and a small tile
+  // of user 0 or 1 moves only its own component. User 0's coordinates are
+  // small, so one ulp of its tile moves its bound by far less than one ulp.
+  Rng rng(0x3D1);
+  Scenario s;
+  for (int k = 0; k < 3000; ++k) {
+    s.pois.push_back({rng.Uniform(-500, 500), rng.Uniform(-500, 500)});
+  }
+  s.tree = RTree::BulkLoad(s.pois);
+  s.users = {{0, 0}, {40, 0}, {0, -200}};
+  uint32_t po_id = 0;
+  for (uint32_t id = 1; id < s.pois.size(); ++id) {
+    if (Dist(s.pois[id], {10, 20}) < Dist(s.pois[po_id], {10, 20})) {
+      po_id = id;
+    }
+  }
+  const Point po = s.pois[po_id];
+  std::vector<TileRegion> regions;
+  for (const Point& u : s.users) {
+    regions.emplace_back(u, 10.0);
+    regions.back().Add(GridTile{0, 0, 0});
+  }
+  TileSnapshot snap(regions, s.users, po);
+  FreshCandidateSource source(&s.tree, &s.users, obj, po_id, po);
+
+  // A square of half-side `h` around user i.
+  const auto around = [&](size_t i, double h) {
+    const Point& u = s.users[i];
+    return Rect({u.x - h, u.y - h}, {u.x + h, u.y + h});
+  };
+  std::vector<double> envelope;
+  size_t traversals = 0, filtered = 0;
+  const auto retrieve = [&](size_t i, const Rect& r) {
+    CandidateSet got;
+    const uint64_t before = source.node_accesses();
+    EXPECT_TRUE(source.GetCandidates(&snap, i, r, nullptr, &got));
+    bool within = envelope.size() == got.bound.size();
+    for (size_t j = 0; within && j < got.bound.size(); ++j) {
+      within = got.bound[j] <= envelope[j];
+    }
+    if (within) {
+      EXPECT_EQ(source.node_accesses(), before) << "bound inside envelope";
+      ++filtered;
+    } else {
+      EXPECT_GT(source.node_accesses(), before) << "bound outside envelope";
+      ++traversals;
+      if (envelope.size() != got.bound.size()) envelope = got.bound;
+      for (size_t j = 0; j < got.bound.size(); ++j) {
+        envelope[j] = std::max(envelope[j], got.bound[j]);
+      }
+    }
+    EXPECT_EQ(Ids(got), BruteForceIds(s, po_id, obj, got.bound));
+    FreshCandidateSource fresh(&s.tree, &s.users, obj, po_id, po);
+    CandidateSet oracle;
+    EXPECT_TRUE(fresh.GetCandidates(&snap, i, r, nullptr, &oracle));
+    EXPECT_EQ(Ids(got), Ids(oracle));
+    for (const Candidate& c : got.items) EXPECT_LT(c.slot, snap.rows());
+    return got;
+  };
+
+  // Grows, then repeats.
+  for (double h : {8.0, 12.0, 20.0}) retrieve(0, around(0, h));
+  const CandidateSet widest0 = retrieve(0, around(0, 20.0));
+  EXPECT_FALSE(widest0.items.empty());
+  // Grows in user 1's component while user 0's falls back to r_up.
+  retrieve(1, around(1, 24.0));
+  // Inside the componentwise max although above the last bound in user
+  // 0's component: filtered.
+  retrieve(0, around(0, 20.0));
+  retrieve(0, around(0, 14.0));
+
+  // One ulp past the envelope in a single component: widen the tile that
+  // set the envelope's component 0 (MAX: user 0's own; SUM: user 1's,
+  // the largest sum) ulp by ulp until its bound first exceeds it.
+  const size_t k = obj == Objective::kMax ? 0 : 1;
+  Rect r = around(k, obj == Objective::kMax ? 20.0 : 24.0);
+  constexpr double kInf = std::numeric_limits<double>::infinity();
+  CandidateSet probe;
+  for (int step = 0; step < 1 << 16; ++step) {
+    r.hi.x = std::nextafter(r.hi.x, kInf);
+    FreshCandidateSource fresh(&s.tree, &s.users, obj, po_id, po);
+    ASSERT_TRUE(fresh.GetCandidates(&snap, k, r, nullptr, &probe));
+    if (probe.bound[0] > envelope[0]) break;
+  }
+  ASSERT_EQ(probe.bound[0], std::nextafter(envelope[0], kInf));
+  for (size_t j = 1; j < probe.bound.size(); ++j) {
+    ASSERT_LE(probe.bound[j], envelope[j]) << "component " << j;
+  }
+  const size_t traversals_before = traversals;
+  retrieve(k, r);
+  EXPECT_EQ(traversals, traversals_before + 1);
+  retrieve(k, r);  // the widened envelope holds it now
+  retrieve(1 - k, around(1 - k, 20.0));
+  EXPECT_EQ(traversals, traversals_before + 1);
+
+  // Committed tiles raise r_up and top; retrievals stay exact.
+  snap.Add(2, GridTile{0, 0, -1});
+  retrieve(0, around(0, 20.0));
+  retrieve(1, around(1, 8.0));
+  EXPECT_GE(filtered, 5u);
+  EXPECT_GE(traversals, 3u);
+}
+
+// A POI whose distance equals the bound survives, as the predicates are
+// `<=`, on every path: traversal, widest-list filter and parent filter.
+// One user at the origin, po on it, the committed tile [-1,1]^2 and the same
+// rect as the query tile: the MAX bound top + r_up and the SUM bound
+// 0 + 2 * r_up are both sqrt(2) + sqrt(2), the same double as
+// Dist((2,2), origin) = sqrt(8), since doubling is exact.
+TEST_P(WidestRetrievalTest, ExactTiesSurviveEveryPath) {
+  const Objective obj = GetParam();
+  Scenario s;
+  s.pois = {{0, 0}, {2, 2}, {3, 0}, {-1, 0.5}};
+  s.tree = RTree::BulkLoad(s.pois);
+  s.users = {{0, 0}};
+  std::vector<TileRegion> regions;
+  regions.emplace_back(s.users[0], 2.0);
+  regions.back().Add(GridTile{0, 0, 0});
+  TileSnapshot snap(regions, s.users, s.pois[0]);
+  FreshCandidateSource source(&s.tree, &s.users, obj, 0, s.pois[0]);
+  const Rect rect = snap.region(0).TileRect(GridTile{0, 0, 0});
+  CandidateSet first, again, child;
+  ASSERT_TRUE(source.GetCandidates(&snap, 0, rect, nullptr, &first));
+  ASSERT_EQ(first.bound.size(), 1u);
+  ASSERT_EQ(first.bound[0], Dist(s.pois[1], s.users[0]));
+  const std::vector<uint32_t> want = {1, 3};
+  ASSERT_EQ(BruteForceIds(s, 0, obj, first.bound), want);
+  EXPECT_EQ(Ids(first), want);
+  const uint64_t before = source.node_accesses();
+  ASSERT_TRUE(source.GetCandidates(&snap, 0, rect, nullptr, &again));
+  ASSERT_TRUE(source.GetCandidates(&snap, 0, rect, &first, &child));
+  EXPECT_EQ(source.node_accesses(), before);
+  EXPECT_EQ(Ids(again), want);
+  EXPECT_EQ(Ids(child), want);
+}
+
+INSTANTIATE_TEST_SUITE_P(Objectives, WidestRetrievalTest,
+                         ::testing::Values(Objective::kMax, Objective::kSum),
+                         [](const ::testing::TestParamInfo<Objective>& info) {
+                           return ObjectiveName(info.param);
+                         });
+
+// GT-Verify's lane kernel decides line 1 from top(j) and the candidate row
+// before reading any lane. Decisions and counters must equal the AoS
+// reference over seeded scenes on an integer grid, where distances are
+// square roots of integers and exact ties full_top == full_bot (line 1's
+// `<=` boundary) are common; candidates are interned before and after
+// commits.
+TEST(LineOneTest, LanesMatchReferenceIncludingExactTies) {
+  Rng rng(0x11E1);
+  size_t ties = 0, tie_accepts = 0, accepted = 0, calls = 0;
+  for (int trial = 0; trial < 600; ++trial) {
+    const size_t m = 1 + static_cast<size_t>(trial % 4);
+    const auto coord = [&] {
+      return static_cast<double>(rng.UniformInt(0, 12));
+    };
+    std::vector<Point> users;
+    std::vector<TileRegion> regions;
+    for (size_t j = 0; j < m; ++j) {
+      users.push_back({coord(), coord()});
+      regions.emplace_back(users.back(), 2.0 * rng.UniformInt(1, 2));
+      regions.back().Add(GridTile{0, 0, 0});
+    }
+    const Point po{coord(), coord()};
+    TileSnapshot snap(regions, users, po);
+    MaxGtVerifier gt;
+    uint32_t next_id = 0;
+    for (int round = 0; round < 4; ++round) {
+      const size_t ui = static_cast<size_t>(rng.UniformInt(0, m - 1));
+      const GridTile tile{static_cast<int32_t>(rng.UniformInt(0, 1)),
+                          static_cast<int32_t>(rng.UniformInt(-3, 3)),
+                          static_cast<int32_t>(rng.UniformInt(-3, 3))};
+      const Rect s = snap.region(ui).TileRect(tile);
+      const TileLanes lanes{&snap, s.MaxDist(po)};
+      for (int c = 0; c < 12; ++c) {
+        const Point p = c % 4 == 0 ? po : Point{coord(), coord()};
+        const Candidate cand = snap.Intern(next_id++, p);
+        // Line 1's operands, recomputed from the rects.
+        double full_top = s.MaxDist(po), full_bot = s.MinDist(p);
+        for (size_t j = 0; j < m; ++j) {
+          if (j == ui) continue;
+          full_top = std::max(full_top, snap.region(j).MaxDist(po));
+          full_bot = std::max(full_bot, snap.region(j).MinDist(p));
+        }
+        VerifyStats ref_stats, lane_stats;
+        const bool a = gt.VerifyTileThreadSafe(snap.regions(), ui, s, cand,
+                                               po, &ref_stats);
+        const bool b = gt.VerifyTileLanes(lanes, ui, s, cand, &lane_stats);
+        ASSERT_EQ(a, b) << "trial " << trial << " round " << round
+                        << " cand " << c;
+        ASSERT_EQ(ref_stats.calls, lane_stats.calls);
+        ASSERT_EQ(ref_stats.accepted, lane_stats.accepted);
+        ASSERT_EQ(lane_stats.tile_groups, 0u);
+        ASSERT_EQ(lane_stats.focal_evals, 0u);
+        ASSERT_EQ(lane_stats.memo_hits, 0u);
+        if (full_top == full_bot) {
+          ++ties;
+          if (b) ++tie_accepts;
+        }
+        if (b) ++accepted;
+        ++calls;
+      }
+      // Commit the tile (its premise is irrelevant to the kernels'
+      // agreement), so later rows fold it on Intern and earlier ones on Add.
+      snap.Add(ui, tile);
+    }
+  }
+  EXPECT_GT(ties, 100u);
+  EXPECT_GT(tie_accepts, 50u);
+  EXPECT_GT(accepted, calls / 10);
+  EXPECT_LT(accepted, calls - calls / 10);
+}
+
+}  // namespace
+}  // namespace mpn

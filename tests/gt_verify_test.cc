@@ -13,6 +13,8 @@
 namespace mpn {
 namespace {
 
+using testutil::RowLess;
+
 // Builds a region holding the listed cells at level 0.
 TileRegion RegionWith(const Point& user, double delta,
                       std::initializer_list<std::pair<int, int>> cells) {
@@ -27,9 +29,9 @@ TEST(GtVerifyTest, SingleUserReducesToLemma1) {
   regions.push_back(RegionWith({0, 0}, 2.0, {{0, 0}}));
   MaxGtVerifier gt;
   const Point po{0, 0};
-  const Candidate far{1, {100, 0}};
+  const Candidate far = RowLess(1, {100, 0});
   // maxdist(po, s) = sqrt(2) ~ 1.414; candidate at x=2 has mindist 1.0.
-  const Candidate near{2, {2.0, 0}};
+  const Candidate near = RowLess(2, {2.0, 0});
   const Rect s = regions[0].TileRect(GridTile{0, 0, 0});  // [-1,1]^2
   EXPECT_TRUE(gt.VerifyTile(regions, 0, s, far, po));
   EXPECT_FALSE(gt.VerifyTile(regions, 0, s, near, po));
@@ -44,7 +46,7 @@ TEST(GtVerifyTest, Figure6bSplitRecovery) {
   std::vector<TileRegion> regions;
   regions.push_back(RegionWith({0, 0}, 8.0, {}));  // anchor only
   const Point po{-6, 0};
-  const Candidate p{7, {6.5, 0}};
+  const Candidate p = RowLess(7, {6.5, 0});
   MaxGtVerifier gt;
   // Level 0, [-4,4]^2: do = dist(po,(4,±4)) ~ 10.77 > dp = 2.5 -> reject.
   const Rect wide = regions[0].TileRect(GridTile{0, 0, 0});
@@ -75,7 +77,8 @@ TEST(GtVerifyTest, OtherUserDominanceGrantsSlack) {
   regions.push_back(RegionWith(u0, 1.0, {{0, 0}}));
   regions.push_back(RegionWith(u1, 1.0, {{0, 0}}));
   const Point po{40, 0};   // near u1; u1 dominates po's distance
-  const Candidate p{3, {-30, 0}};  // near-ish u0's side; u1 dominates p too
+  // Near-ish u0's side; u1 dominates p too.
+  const Candidate p = RowLess(3, {-30, 0});
   MaxGtVerifier gt;
   // Tile for user 0 slightly toward po.
   const Rect s = regions[0].TileRect(GridTile{0, 1, 0});  // [0.5,1.5]^2-ish
@@ -107,7 +110,8 @@ TEST(GtVerifyTest, AcceptedTilesAreSoundOnSampledInstances) {
       regions.back().Add(GridTile{0, 0, 0});
     }
     const Point po{rng.Uniform(0, 60), rng.Uniform(0, 60)};
-    const Candidate cand{1, {rng.Uniform(0, 60), rng.Uniform(0, 60)}};
+    const Candidate cand =
+        RowLess(1, {rng.Uniform(0, 60), rng.Uniform(0, 60)});
     // Premise: the initial group must be valid for (po, cand); skip
     // configurations where it is not (the engine would never create them).
     {
@@ -188,16 +192,17 @@ TEST(GtVerifyTest, SoAKernelMatchesScalarOnRandomScenes) {
                  static_cast<int32_t>(rng.UniformInt(-4, 4))});
     MaxGtVerifier gt;
     // The GT kernel reads no user locations (only r_up does).
-    const TileSnapshot snap(regions, std::vector<Point>(m, po), po);
+    TileSnapshot snap(regions, std::vector<Point>(m, po), po);
     const TileLanes lanes{&snap, s.MaxDist(po)};
     for (int c = 0; c < 24; ++c) {
-      Candidate cand{static_cast<uint32_t>(c), {}};
+      Point p;
       if (c % 3 == 0) {
         // Exact-tie geometry: candidate at po (d_p relations degenerate).
-        cand.p = po;
+        p = po;
       } else {
-        cand.p = {rng.Uniform(0, 60), rng.Uniform(0, 60)};
+        p = {rng.Uniform(0, 60), rng.Uniform(0, 60)};
       }
+      const Candidate cand = snap.Intern(static_cast<uint32_t>(c), p);
       VerifyStats scalar_stats, soa_stats;
       const bool a =
           gt.VerifyTileThreadSafe(regions, ui, s, cand, po, &scalar_stats);
@@ -217,8 +222,8 @@ TEST(GtVerifyTest, StatsCountCallsAndAcceptances) {
   regions.push_back(RegionWith({0, 0}, 2.0, {{0, 0}}));
   MaxGtVerifier gt;
   const Rect s = regions[0].TileRect(GridTile{0, 0, 0});
-  gt.VerifyTile(regions, 0, s, {1, {100, 0}}, {0, 0});   // accept
-  gt.VerifyTile(regions, 0, s, {2, {2.2, 0}}, {0, 0});   // reject
+  gt.VerifyTile(regions, 0, s, RowLess(1, {100, 0}), {0, 0});  // accept
+  gt.VerifyTile(regions, 0, s, RowLess(2, {2.2, 0}), {0, 0});  // reject
   EXPECT_EQ(gt.stats().calls, 2u);
   EXPECT_EQ(gt.stats().accepted, 1u);
 }
@@ -229,11 +234,11 @@ TEST(ItVerifyTest, CountsTileGroups) {
   regions.push_back(RegionWith({10, 0}, 2.0, {{0, 0}, {1, 0}, {0, 1}}));  // 3
   MaxItVerifier it;
   const Rect s = regions[0].TileRect(GridTile{0, -1, 0});
-  it.VerifyTile(regions, 0, s, {1, {200, 0}}, {0, 0});
+  it.VerifyTile(regions, 0, s, RowLess(1, {200, 0}), {0, 0});
   // Groups enumerated: |R_1| = 3 (user 0 pinned to s).
   EXPECT_EQ(it.stats().tile_groups, 3u);
   it.VerifyTile(regions, 1, regions[1].TileRect(GridTile{0, -1, 0}),
-                {1, {200, 0}}, {0, 0});
+                RowLess(1, {200, 0}), {0, 0});
   EXPECT_EQ(it.stats().tile_groups, 3u + 2u);
 }
 
@@ -248,11 +253,11 @@ TEST(SumVerifierTest, AcceptsWhenSumSlackExists) {
   SumHyperbolaVerifier sum(po, 2);
   // Candidate on the far right: user 0 loses a lot by switching, user 1
   // gains little -> sum stays in po's favor even at tile extremes.
-  const Candidate cand{1, {12, 0}};
+  const Candidate cand = RowLess(1, {12, 0});
   const Rect s = regions[0].TileRect(GridTile{0, 1, 0});
   EXPECT_TRUE(sum.VerifyTile(regions, 0, s, cand, po));
   // A candidate just right of po with users shifted right flips the sum.
-  const Candidate tight{2, {1.0, 0}};
+  const Candidate tight = RowLess(2, {1.0, 0});
   const Rect far_right = regions[0].TileRect(GridTile{0, 3, 0});
   EXPECT_FALSE(sum.VerifyTile(regions, 0, far_right, tight, po));
 }
@@ -266,7 +271,7 @@ TEST(SumVerifierTest, MemoizationIsConsistentAcrossCommits) {
   regions.push_back(RegionWith({20, 30}, 3.0, {{0, 0}}));
   regions.push_back(RegionWith({40, 30}, 3.0, {{0, 0}}));
   SumHyperbolaVerifier memoized(po, 2);
-  const Candidate cand{5, {55, 31}};
+  const Candidate cand = RowLess(5, {55, 31});
   // First pass fills the memo for user 1.
   const Rect s1 = regions[0].TileRect(GridTile{0, 1, 0});
   (void)memoized.VerifyTile(regions, 0, s1, cand, po);

@@ -6,6 +6,7 @@
 
 #include "index/gnn.h"
 #include "index/rtree.h"
+#include "mpn/candidates.h"
 #include "mpn/safe_region.h"
 #include "util/macros.h"
 #include "util/rng.h"
@@ -35,6 +36,33 @@ inline Scenario MakeScenario(size_t n_pois, size_t m_users, uint64_t seed,
   }
   s.tree = RTree::BulkLoad(s.pois);
   return s;
+}
+
+/// A candidate without a TileSnapshot row, for the AoS verifiers, which
+/// ignore the slot.
+inline Candidate RowLess(uint32_t id, const Point& p) {
+  return {id, Candidate::kNoSlot, p};
+}
+
+/// The POIs a Theorem-3/6 retrieval at `bound` must return: every one but
+/// `po_id` whose point predicate holds, in id order.
+inline std::vector<uint32_t> BruteForceIds(const Scenario& s, uint32_t po_id,
+                                           Objective obj,
+                                           const std::vector<double>& bound) {
+  std::vector<uint32_t> ids;
+  for (uint32_t id = 0; id < s.pois.size(); ++id) {
+    if (id == po_id) continue;
+    bool keep = true;
+    if (obj == Objective::kSum) {
+      keep = AggDist(s.pois[id], s.users, Objective::kSum) <= bound[0];
+    } else {
+      for (size_t j = 0; j < s.users.size(); ++j) {
+        keep = keep && Dist(s.pois[id], s.users[j]) <= bound[j];
+      }
+    }
+    if (keep) ids.push_back(id);
+  }
+  return ids;
 }
 
 /// Uniform sample inside a safe region (circle or tiles).

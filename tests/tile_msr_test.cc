@@ -17,6 +17,7 @@ namespace {
 
 using testutil::IsOptimalMeetingPoint;
 using testutil::MakeScenario;
+using testutil::RowLess;
 using testutil::SampleRegion;
 using testutil::Scenario;
 
@@ -126,7 +127,7 @@ TEST(GtVsItTest, GtAcceptanceImpliesItAcceptance) {
       const uint32_t cid = static_cast<uint32_t>(
           rng.UniformInt(0, static_cast<int64_t>(s.pois.size()) - 1));
       if (cid == result.po_id) continue;
-      const Candidate cand{cid, s.pois[cid]};
+      const Candidate cand = RowLess(cid, s.pois[cid]);
       ++checked;
       const bool g = gt.VerifyTile(regions, ui, rect, cand, result.po);
       if (g) {
