@@ -129,12 +129,14 @@ void BM_GtVerifyScanScalar(benchmark::State& state) {
                           static_cast<int64_t>(f.candidates.size()));
 }
 
-// The same scan through the batched SoA kernel: one lane pass per
-// candidate over the snapshot, whose candidate-independent ||po,t||_max
-// lanes a Tile-MSR computation fills once per committed tile and whose
-// candidate rows it fills once per candidate (both outside the timed loop,
-// as in Divide-Verify). items/sec vs BM_GtVerifyScanScalar is the SoA
-// kernel's speedup.
+// The same scan through the SoA kernel, which decides each call from the
+// snapshot's running values (top, bot_po) and the candidate's row in O(m)
+// and scans lanes only for what those leave open: at most one early-exit
+// scan of the other users and, for case 4, user 0's own lanes. The
+// snapshot's ||po,t||_max lanes are filled once per committed tile and the
+// candidate rows once per candidate (both outside the timed loop, as in
+// Divide-Verify). items/sec vs BM_GtVerifyScanScalar is the SoA kernel's
+// speedup.
 void BM_GtVerifyScanSoA(benchmark::State& state) {
   const auto& f = Fixture(static_cast<size_t>(state.range(0)));
   MaxGtVerifier verifier;

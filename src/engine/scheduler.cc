@@ -173,6 +173,7 @@ void Scheduler::RunEvent(SessionRecord* r) {
 
   {
     std::lock_guard<std::mutex> lock(r->mu);
+    r->PublishLocked();  // while this event still owns the session
     r->event_running = false;
     if (post_job) r->job_running = true;
     ScheduleNextLocked(r);

@@ -63,24 +63,20 @@ void SessionStore::OnAdmit(SessionRecord* r) {
   // A zero-horizon session may already have finalized (and compacted)
   // inside Scheduler::Admit — compaction did the accounting then.
   if (r->finalized || r->spilled || r->session == nullptr) return;
-  const size_t est = r->session->StateBytesEstimate();
-  const size_t next_t = r->session->next_timestamp();
   std::lock_guard<std::mutex> sl(mu_);
-  SetAccountedLocked(r, est);
-  if (enabled()) InsertActiveLocked(r, next_t);
+  SetAccountedLocked(r, r->state_bytes);
+  if (enabled()) InsertActiveLocked(r, r->cached_next_t);
 }
 
 void SessionStore::OnEventDone(SessionRecord* r) {
   {
     std::lock_guard<std::mutex> rl(r->mu);
     if (!r->finalized && !r->spilled && r->session != nullptr) {
-      const size_t est = r->session->StateBytesEstimate();
-      const size_t next_t = r->session->next_timestamp();
       std::lock_guard<std::mutex> sl(mu_);
-      SetAccountedLocked(r, est);
+      SetAccountedLocked(r, r->state_bytes);
       if (enabled()) {
         EraseActiveLocked(r);
-        if (!r->accessor_pinned) InsertActiveLocked(r, next_t);
+        if (!r->accessor_pinned) InsertActiveLocked(r, r->cached_next_t);
       }
     }
   }
@@ -118,7 +114,8 @@ void SessionStore::EnsureResidentLocked(SessionRecord* r, bool pin) {
       r->pending_retire_at = kNoRetire;
     }
     r->session = std::move(session);
-    est = r->session->StateBytesEstimate();
+    r->PublishLocked();
+    est = r->state_bytes;
     live = true;
   } else {
     r->final_result =
@@ -132,7 +129,7 @@ void SessionStore::EnsureResidentLocked(SessionRecord* r, bool pin) {
   SetAccountedLocked(r, est);
   if (!r->accessor_pinned) {
     if (live) {
-      InsertActiveLocked(r, r->session->next_timestamp());
+      InsertActiveLocked(r, r->cached_next_t);
     } else {
       finals_.push_back(r);
     }

@@ -70,13 +70,15 @@ class SessionStore {
   /// compaction runs regardless.
   bool enabled() const { return budget_.bytes_cap > 0; }
 
-  /// Registers a freshly admitted record: charges its resident estimate
-  /// and makes it a spill candidate. Locks record->mu itself. The caller
-  /// follows up with Rebalance() once outside all locks.
+  /// Registers a freshly admitted record: charges its published resident
+  /// estimate and makes it a spill candidate. Locks record->mu itself. The
+  /// caller follows up with Rebalance() once outside all locks.
   void OnAdmit(SessionRecord* r);
 
   /// Re-accounts a record after one of its events ran (state grew, clock
-  /// advanced, possibly finalized) and rebalances against the budget.
+  /// advanced, possibly finalized) and rebalances against the budget. Reads
+  /// the values the last finished event published (PublishLocked), never
+  /// the session: the record's next event may already be advancing it.
   /// Locks record->mu itself; call with no locks held.
   void OnEventDone(SessionRecord* r);
 

@@ -41,7 +41,19 @@ struct SessionRecord {
   SessionRecord(uint32_t session_id, std::vector<const Trajectory*> g,
                 const SessionTuning& t, std::unique_ptr<GroupSession> s)
       : session(std::move(s)), id(session_id), group(std::move(g)),
-        tuning(t) {}
+        tuning(t) {
+    PublishLocked();
+  }
+
+  /// Copies the session's store-facing values into `state_bytes` and
+  /// `cached_next_t`. Only the session's owner calls it: the constructor,
+  /// an event before it clears `event_running`, or a rehydration; all but
+  /// the constructor hold `mu`. Everyone else reads the copies under `mu`,
+  /// never the session, which another event may be advancing meanwhile.
+  void PublishLocked() {
+    state_bytes = session->StateBytesEstimate();
+    cached_next_t = session->next_timestamp();
+  }
 
   std::unique_ptr<GroupSession> session;
 
@@ -65,9 +77,12 @@ struct SessionRecord {
   /// A legacy by-reference accessor handed out pointers into this record's
   /// state: it must stay resident for the rest of the run.
   bool accessor_pinned = false;
-  /// next_timestamp() at spill time — lets the scheduler arm a spilled
-  /// session's next event without rehydrating it first.
+  /// next_timestamp() as last published (PublishLocked) or spilled — lets
+  /// the store key the session and the scheduler arm a spilled session's
+  /// next event without rehydrating it first.
   size_t cached_next_t = 0;
+  /// StateBytesEstimate() as last published (PublishLocked).
+  size_t state_bytes = 0;
   /// Retirement requested while spilled; applied on rehydration.
   size_t pending_retire_at = std::numeric_limits<size_t>::max();
   size_t spill_offset = 0;      ///< extent in the store's spill file

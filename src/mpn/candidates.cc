@@ -19,12 +19,12 @@ void SortCandidatesById(std::vector<Candidate>* out) {
             [](const Candidate& a, const Candidate& b) { return a.id < b.id; });
 }
 
-// True when every bound of `child` is <= the matching bound of `parent`.
-bool BoundsWithin(const std::vector<double>& child,
-                  const std::vector<double>& parent) {
-  if (child.size() != parent.size()) return false;
-  for (size_t j = 0; j < child.size(); ++j) {
-    if (child[j] > parent[j]) return false;
+// True when every bound of `inner` is <= the matching bound of `outer`.
+bool BoundsWithin(const std::vector<double>& inner,
+                  const std::vector<double>& outer) {
+  if (inner.size() != outer.size()) return false;
+  for (size_t j = 0; j < inner.size(); ++j) {
+    if (inner[j] > outer[j]) return false;
   }
   return true;
 }
@@ -87,6 +87,7 @@ void TileSnapshot::Fold(size_t j, size_t k) {
   Derived& d = derived_[j];
   d.max_po.push_back(to_po);
   d.top = std::max(d.top, to_po);
+  d.bot_po = std::min(d.bot_po, to_po);
   d.r_up = std::max(d.r_up, to_user);
 }
 
@@ -104,71 +105,66 @@ FreshCandidateSource::FreshCandidateSource(SpatialIndex tree,
 
 bool FreshCandidateSource::GetCandidates(TileSnapshot* snap, size_t user_i,
                                          const Rect& s,
-                                         const CandidateSet* parent,
-                                         CandidateSet* out) {
-  std::vector<Candidate>& items = out->items;
-  std::vector<double>& bound = out->bound;
-  items.clear();
-  bound.clear();
+                                         std::vector<Candidate>* out) {
+  out->clear();
   ++stats_.retrievals;
-  const std::vector<Point>& users = *users_;
-  const size_t m = users.size();
-  MPN_DCHECK(snap->users() == m);
-  // Tight per-call delta on the calling thread (see node_accesses()).
-  const uint64_t accesses_before = tree_.node_accesses();
-
-  if (!use_pruning_) {  // ablation baseline: every non-result POI
+  MPN_DCHECK(snap->users() == users_->size());
+  if (use_pruning_) {
+    Bounds(*snap, user_i, s, &bound_);
+    Retrieve(snap, bound_, out);
+  } else {  // ablation baseline: every non-result POI
+    const uint64_t accesses_before = tree_.node_accesses();
     tree_.Traverse([](const Rect&) { return true; },
                    [&](const Point& p, uint32_t id) {
-                     if (id != po_id_) items.push_back(snap->Intern(id, p));
+                     if (id != po_id_) out->push_back(snap->Intern(id, p));
                    });
-    SortCandidatesById(&items);
-    stats_.candidates_total += items.size();
+    SortCandidatesById(out);
     node_accesses_ += tree_.node_accesses() - accesses_before;
-    return true;
   }
+  stats_.candidates_total += out->size();
+  return true;
+}
 
+void FreshCandidateSource::Bounds(const TileSnapshot& snap, size_t user_i,
+                                  const Rect& s,
+                                  std::vector<double>* bound) const {
+  const std::vector<Point>& users = *users_;
+  const size_t m = users.size();
   // Per-user displacement bounds r_up (tile s counts for user_i).
-  bound.resize(m);
-  for (size_t j = 0; j < m; ++j) bound[j] = snap->r_up(j);
-  bound[user_i] = std::max(bound[user_i], s.MaxDist(users[user_i]));
+  bound->resize(m);
+  for (size_t j = 0; j < m; ++j) (*bound)[j] = snap.r_up(j);
+  (*bound)[user_i] = std::max((*bound)[user_i], s.MaxDist(users[user_i]));
   if (obj_ == Objective::kMax) {
     // Theorem 3: p survives iff ||p,u_j|| <= ||po,R||_top + r_up_j for all j.
     double top = s.MaxDist(po_);
-    for (size_t j = 0; j < m; ++j) top = std::max(top, snap->top(j));
-    for (size_t j = 0; j < m; ++j) bound[j] = top + bound[j];
+    for (size_t j = 0; j < m; ++j) top = std::max(top, snap.top(j));
+    for (size_t j = 0; j < m; ++j) (*bound)[j] = top + (*bound)[j];
   } else {
     // Theorem 6: p survives iff ||p,U||_sum <= ||po,U||_sum + 2*sum_j r_up_j.
     double sum_r = 0.0;
-    for (size_t j = 0; j < m; ++j) sum_r += bound[j];
-    bound.assign(1, po_sum_ + 2.0 * sum_r);
+    for (size_t j = 0; j < m; ++j) sum_r += (*bound)[j];
+    bound->assign(1, po_sum_ + 2.0 * sum_r);
   }
+}
 
-  if (parent != nullptr) {
-    if (BoundsWithin(bound, parent->bound)) {
-      Filter(*snap, parent->items, bound, &items);
-    } else {
-      Traverse(snap, bound, &items);
+void FreshCandidateSource::Retrieve(TileSnapshot* snap,
+                                    const std::vector<double>& bound,
+                                    std::vector<Candidate>* out) {
+  out->clear();
+  if (!BoundsWithin(bound, envelope_)) {
+    if (envelope_.size() != bound.size()) envelope_ = bound;
+    for (size_t j = 0; j < bound.size(); ++j) {
+      envelope_[j] = std::max(envelope_[j], bound[j]);
     }
-  } else {
-    if (!BoundsWithin(bound, widest_.bound)) {
-      if (widest_.bound.size() != bound.size()) widest_.bound = bound;
-      for (size_t j = 0; j < bound.size(); ++j) {
-        widest_.bound[j] = std::max(widest_.bound[j], bound[j]);
-      }
-      widest_.items.clear();
-      Traverse(snap, widest_.bound, &widest_.items);
-    }
-    Filter(*snap, widest_.items, bound, &items);
+    envelope_items_.clear();
+    Traverse(snap, envelope_, &envelope_items_);
   }
-  node_accesses_ += tree_.node_accesses() - accesses_before;
-  stats_.candidates_total += items.size();
-  return true;
+  Filter(*snap, envelope_items_, bound, out);
 }
 
 void FreshCandidateSource::Traverse(TileSnapshot* snap,
                                     const std::vector<double>& bound,
-                                    std::vector<Candidate>* out) const {
+                                    std::vector<Candidate>* out) {
   const std::vector<Point>& users = *users_;
   const size_t m = users.size();
   const auto visit = [&](const Rect& mbr) {
@@ -189,9 +185,12 @@ void FreshCandidateSource::Traverse(TileSnapshot* snap,
     }
     return true;
   };
+  // Tight per-call delta on the calling thread (see node_accesses()).
+  const uint64_t accesses_before = tree_.node_accesses();
   tree_.Traverse(visit, [&](const Point& p, uint32_t id) {
     if (id != po_id_ && survives(p)) out->push_back(snap->Intern(id, p));
   });
+  node_accesses_ += tree_.node_accesses() - accesses_before;
   SortCandidatesById(out);
 }
 
@@ -244,11 +243,8 @@ double BufferedCandidateSource::Beta(int z) const {
 
 bool BufferedCandidateSource::GetCandidates(TileSnapshot* snap,
                                             size_t user_i, const Rect& s,
-                                            const CandidateSet* parent,
-                                            CandidateSet* out) {
-  (void)parent;
-  out->items.clear();
-  out->bound.clear();
+                                            std::vector<Candidate>* out) {
+  out->clear();
   ++stats_.retrievals;
   const size_t m = users_.size();
   MPN_DCHECK(snap->users() == m);
@@ -268,8 +264,8 @@ bool BufferedCandidateSource::GetCandidates(TileSnapshot* snap,
     const GnnCursor::Item& item = buffer_[interned_.size() + 1];
     interned_.push_back(snap->Intern(item.id, item.p));
   }
-  out->items.assign(interned_.begin(), interned_.begin() + n);
-  stats_.candidates_total += out->items.size();
+  out->assign(interned_.begin(), interned_.begin() + n);
+  stats_.candidates_total += out->size();
   return true;
 }
 

@@ -4,11 +4,10 @@
 // displace the current optimum. Two sources are provided:
 //
 //  * FreshCandidateSource — prunes with Theorem 3 (MAX) or Theorem 6 (SUM).
-//    A sub-tile filters its parent tile's candidates whenever its bounds
-//    are no larger; a top-level tile filters the widest retrieval made so
-//    far, traversing the R-tree only when its bounds outgrow it. Exact
-//    either way; the traversals are the cost the Section-5.4 buffering
-//    removes.
+//    Every tile, top-level or sub-tile, filters the widest retrieval made so
+//    far (the envelope), traversing the R-tree only when its bounds outgrow
+//    it. Exact either way; the traversals are the cost the Section-5.4
+//    buffering removes.
 //
 //  * BufferedCandidateSource — retrieves the best b+1 GNNs once per safe-
 //    region computation and serves verification from that buffer using the
@@ -18,7 +17,7 @@
 #pragma once
 
 #include <cstdint>
-#include <optional>
+#include <limits>
 #include <unordered_map>
 #include <vector>
 
@@ -47,15 +46,17 @@ struct Candidate {
 /// maxima ||po,R_j||_max and r_up_j = ||u_j,R_j||_max are running maxima
 /// of those values: max is a selection and the correctly-rounded sqrt is
 /// monotone, so they equal a RectMaxDistReduce fold over the whole region
-/// bit for bit. Both candidate retrieval (the Theorem-3/6 bounds) and the
-/// SoA verification kernel (the hoisted ||po,t||_max lanes) read it.
+/// bit for bit. bot_po(j), the running min of ||po,t||_max, is kept the
+/// same way. Both candidate retrieval (the Theorem-3/6 bounds) and the SoA
+/// verification kernel (the hoisted ||po,t||_max lanes) read it.
 ///
 /// The same holds per candidate: each distinct POI a computation verifies
 /// gets one row (Intern) holding Dist(p,u_j) for every user and the running
 /// min over R_j of squared ||p,t||_min, folded with the RectMinDist2Lane
 /// formula when the row is created and again on every Add. Candidate
-/// retrieval filters on the row's distances, and GT-Verify decides its
-/// line-1 Lemma-1 test from top(j) and the row without a lane scan.
+/// retrieval filters on the row's distances, and GT-Verify decides line 1
+/// and the S- and T-group tests from top(j), bot_po(j) and the row
+/// without a lane scan.
 class TileSnapshot {
  public:
   /// Takes one region per user (tiles already in them are folded in).
@@ -75,6 +76,9 @@ class TileSnapshot {
 
   /// ||po,R_j||_max; 0 for an empty region.
   double top(size_t j) const { return derived_[j].top; }
+
+  /// min over t in R_j of ||po,t||_max; +inf for an empty region.
+  double bot_po(size_t j) const { return derived_[j].bot_po; }
 
   /// r_up_j = ||u_j,R_j||_max, user j's largest displacement inside R_j;
   /// 0 for an empty region.
@@ -107,6 +111,7 @@ class TileSnapshot {
   struct Derived {
     std::vector<double> max_po;
     double top = 0.0;
+    double bot_po = std::numeric_limits<double>::infinity();
     double r_up = 0.0;
   };
 
@@ -123,15 +128,6 @@ class TileSnapshot {
   std::unordered_map<uint32_t, uint32_t> slot_of_;  // POI id -> row
 };
 
-/// One retrieval: the candidates (sorted by id) and the Theorem-3/6 bounds
-/// that selected them (MAX: one per user, SUM: one; empty when the source
-/// keeps none). Divide-Verify keeps one per recursion level and passes it
-/// to the sub-tiles as their parent retrieval.
-struct CandidateSet {
-  std::vector<Candidate> items;
-  std::vector<double> bound;
-};
-
 /// Shared statistics across candidate retrievals.
 struct CandidateStats {
   uint64_t retrievals = 0;        ///< calls to GetCandidates
@@ -145,17 +141,14 @@ class CandidateSource {
   virtual ~CandidateSource() = default;
 
   /// Computes the candidates that must be verified when tile `s` (geometric
-  /// extent) is being allocated to `user_i`, given the current tile regions.
-  /// Every returned candidate is interned in `snap`. `parent`, when
-  /// non-null, is the retrieval of a tile containing `s` made while the
-  /// regions held a subset of their current tiles; a source may derive the
-  /// result from it instead of querying the index. Returns false when the
-  /// tile must be rejected without verification (buffered mode: no valid
-  /// distance-threshold slot). A source serves one snapshot: the slots it
-  /// keeps between calls index that snapshot's rows.
+  /// extent) is being allocated to `user_i`, given the current tile regions,
+  /// into `out` (sorted by id for the fresh source, buffer order for the
+  /// buffered one). Every returned candidate is interned in `snap`. Returns
+  /// false when the tile must be rejected without verification (buffered
+  /// mode: no valid distance-threshold slot). A source serves one snapshot:
+  /// the slots it keeps between calls index that snapshot's rows.
   virtual bool GetCandidates(TileSnapshot* snap, size_t user_i,
-                             const Rect& s, const CandidateSet* parent,
-                             CandidateSet* out) = 0;
+                             const Rect& s, std::vector<Candidate>* out) = 0;
 
   const CandidateStats& stats() const { return stats_; }
 
@@ -178,14 +171,13 @@ class CandidateSource {
 /// holds at B: MBR pruning is sound. So any list retrieved at bounds >= B,
 /// component by component, filtered with the predicate at B yields that
 /// same set, and the predicate reads the candidate rows' cached distances.
-/// With a parent whose every bound is >= this tile's, the parent's list is
-/// filtered. A sub-tile's bounds are mathematically no larger than its
-/// parent's (it lies inside the parent, and so does every tile committed
-/// since), but its corners are recomputed from the grid and can exceed the
-/// parent's by an ulp; any larger bound falls back to a traversal. Without
-/// a parent, the widest retrieval made so far is filtered; when some bound
-/// exceeds it, the index is traversed once at the componentwise max of the
-/// two, which becomes the new widest retrieval.
+/// The source keeps one such list, the envelope: the retrieval at the
+/// componentwise max of every bound it has served. A tile whose bounds fit
+/// inside the envelope filters it; otherwise the index is traversed once at
+/// the componentwise max of the two, which becomes the new envelope. A
+/// sub-tile's bounds are mathematically no larger than its parent's, but
+/// its corners are recomputed from the grid and can exceed them by an ulp;
+/// the envelope usually still holds them.
 class FreshCandidateSource : public CandidateSource {
  public:
   /// `tree`, `users` must outlive the source. `po_id`/`po` identify the
@@ -200,13 +192,25 @@ class FreshCandidateSource : public CandidateSource {
                        bool use_pruning = true);
 
   bool GetCandidates(TileSnapshot* snap, size_t user_i, const Rect& s,
-                     const CandidateSet* parent, CandidateSet* out) override;
+                     std::vector<Candidate>* out) override;
+
+  /// The Theorem-3/6 bounds of tile `s` for `user_i` (MAX: one per user,
+  /// SUM: one) into `bound`.
+  void Bounds(const TileSnapshot& snap, size_t user_i, const Rect& s,
+              std::vector<double>* bound) const;
+
+  /// Fills `out` with the interned POIs (po excluded) whose predicate holds
+  /// at `bound`, sorted by id, from the envelope; widens the envelope with
+  /// one traversal first when `bound` outgrows it. GetCandidates is Bounds
+  /// then Retrieve, plus the retrieval counters.
+  void Retrieve(TileSnapshot* snap, const std::vector<double>& bound,
+                std::vector<Candidate>* out);
 
  private:
   // Fills the empty `out` with the interned POIs (po excluded) whose
   // predicate holds at `bound`, sorted by id.
   void Traverse(TileSnapshot* snap, const std::vector<double>& bound,
-                std::vector<Candidate>* out) const;
+                std::vector<Candidate>* out);
   // Appends the members of `from` whose predicate holds at `bound`.
   void Filter(const TileSnapshot& snap, const std::vector<Candidate>& from,
               const std::vector<double>& bound,
@@ -219,7 +223,9 @@ class FreshCandidateSource : public CandidateSource {
   Point po_;
   double po_sum_;  // ||po,U||_sum (Theorem 6)
   bool use_pruning_;
-  CandidateSet widest_;  // widest top-level retrieval so far
+  std::vector<double> bound_;            // GetCandidates' bounds (reused)
+  std::vector<double> envelope_;         // componentwise max of all bounds
+  std::vector<Candidate> envelope_items_;  // the retrieval at envelope_
 };
 
 /// Theorem 4 / Theorem 7 buffered retrieval (Algorithm 5).
@@ -231,10 +237,9 @@ class BufferedCandidateSource : public CandidateSource {
   BufferedCandidateSource(SpatialIndex tree, const std::vector<Point>& users,
                           Objective obj, int b);
 
-  /// Ignores `parent`: the buffer already bounds every call to O(b).
   /// Buffered points are interned in buffer order, on first use.
   bool GetCandidates(TileSnapshot* snap, size_t user_i, const Rect& s,
-                     const CandidateSet* parent, CandidateSet* out) override;
+                     std::vector<Candidate>* out) override;
 
   /// The optimum (first buffered GNN).
   const GnnCursor::Item& best() const { return buffer_.front(); }

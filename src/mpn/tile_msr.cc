@@ -64,20 +64,17 @@ bool ParallelVerifyScan(const TileSnapshot& snap, size_t user_i,
 
 // Algorithm 2 (Divide-Verify): tries to add grid tile `tile` (or sub-tiles
 // down to `level` more splits) to user_i's region; true when at least one
-// tile was inserted. `parent` is the enclosing tile's retrieval (null at
-// the top level); this call's own retrieval lives in
-// scratch->levels[level] until its sub-tiles are done.
+// tile was inserted. The retrieval lives in scratch->candidates until this
+// tile's scan ends; the sub-tiles retrieve their own.
 bool DivideVerify(TileSnapshot* snap, size_t user_i, const GridTile& tile,
                   CandidateSource* source, TileVerifier* verifier, int level,
                   MsrStats* stats, const VerifyFanout& fanout,
-                  KernelKind kernel, MsrScratch* scratch,
-                  const CandidateSet* parent) {
+                  KernelKind kernel, MsrScratch* scratch) {
   ++stats->divide_calls;
   const Rect rect = snap->region(user_i).TileRect(tile);
 
-  CandidateSet& retrieved = scratch->levels[static_cast<size_t>(level)];
-  const std::vector<Candidate>& candidates = retrieved.items;
-  bool ok = source->GetCandidates(snap, user_i, rect, parent, &retrieved);
+  const std::vector<Candidate>& candidates = scratch->candidates;
+  bool ok = source->GetCandidates(snap, user_i, rect, &scratch->candidates);
   if (ok && !candidates.empty()) {
     const bool use_lanes =
         kernel == KernelKind::kSoA && verifier->lanes_capable();
@@ -132,7 +129,7 @@ bool DivideVerify(TileSnapshot* snap, size_t user_i, const GridTile& tile,
   bool flag = false;
   for (const GridTile& child : children) {
     if (DivideVerify(snap, user_i, child, source, verifier, level - 1, stats,
-                     fanout, kernel, scratch, &retrieved)) {
+                     fanout, kernel, scratch)) {
       flag = true;
     }
   }
@@ -231,7 +228,6 @@ MsrResult ComputeTileMsr(SpatialIndex tree, const std::vector<Point>& users,
   }
 
   // Step 3 (lines 5-10): alpha rounds of round-robin tile growth.
-  scratch->levels.resize(static_cast<size_t>(config.split_level) + 1);
   std::vector<bool> exhausted(m, false);
   for (int t = 0; t < config.alpha; ++t) {
     bool any_active = false;
@@ -247,7 +243,7 @@ MsrResult ComputeTileMsr(SpatialIndex tree, const std::vector<Point>& users,
         ++out.stats.tiles_tried;
         if (DivideVerify(&snap, i, *cell, source.get(), verifier.get(),
                          config.split_level, &out.stats, config.fanout,
-                         config.kernel, scratch, nullptr)) {
+                         config.kernel, scratch)) {
           orderings[i].MarkInserted();
           break;
         }

@@ -35,15 +35,15 @@ enum class KernelKind {
 };
 
 /// Reusable per-computation scratch: a bump arena for the fan-out chunk
-/// state, plus one candidate set per Divide-Verify recursion level (a
-/// sub-tile filters its parent level's set; see FreshCandidateSource).
-/// Owned by the caller (MpnServer keeps one per session) so steady-state
-/// recomputes reuse the buffers; ComputeTileMsr falls back to a local one
-/// when the config carries none. Not thread-safe — callers must serialize
-/// recomputes sharing a scratch (GroupSession already serializes its own).
+/// state, plus the candidate list of the tile under scan (a tile's list is
+/// dead once its scan ends, before any sub-tile retrieves). Owned by the
+/// caller (MpnServer keeps one per session) so steady-state recomputes
+/// reuse the buffers; ComputeTileMsr falls back to a local one when the
+/// config carries none. Not thread-safe — callers must serialize recomputes
+/// sharing a scratch (GroupSession already serializes its own).
 struct MsrScratch {
   Arena arena;
-  std::vector<CandidateSet> levels;  ///< indexed by remaining split level
+  std::vector<Candidate> candidates;
 };
 
 /// Abstract parallel executor for the per-user candidate fan-out inside

@@ -1,25 +1,10 @@
 #include "mpn/tile_verify.h"
 
 #include <algorithm>
-#include <atomic>
 #include <cmath>
-#include <cstdlib>
-#include <cstring>
 #include <limits>
 
 #include "util/macros.h"
-
-#if defined(__SSE2__)
-#include <emmintrin.h>
-#endif
-
-// The AVX2 path compiles via a per-function target attribute (no global
-// -mavx2), so the binary still runs on SSE2-only machines; the wider path
-// is selected at runtime only when cpuid reports AVX2.
-#if defined(__SSE2__) && defined(__GNUC__)
-#include <immintrin.h>
-#define MPN_HAVE_AVX2_PATH 1
-#endif
 
 namespace mpn {
 
@@ -27,246 +12,44 @@ namespace {
 
 constexpr double kInf = std::numeric_limits<double>::infinity();
 
-// Per-user lane aggregates of the GT-Verify scan (see VerifyTileLanes).
-// All three are min/max selections over per-lane values, so any evaluation
-// order — including the two-accumulator SIMD split below — produces the
-// identical doubles. The whole-region max ||po,t||_max and min squared
-// ||p,t||_min are not folded here: the snapshot keeps them (top(j) and
-// the candidate row).
-struct UserLaneAgg {
-  double min_mx = kInf;      // min ||po,t||_max   (-> has_t)
-  double maxmax_s = 0.0;     // max ||po,t||_max over lanes with mn < d_p
-  double minmin_t2 = kInf;   // min squared ||p,t||_min over lanes mx < d_o
-};
-
-// Folds one scalar lane into the aggregates using the branch-free select
-// forms (identities: 0 for max over nonnegative distances, +inf for min).
-inline void FoldLane(double mn2, double mx, double d_o, double t_lt,
-                     UserLaneAgg* a) {
-  a->min_mx = std::min(a->min_mx, mx);
-  const bool below_do = mx < d_o;
-  const bool below_dp = mn2 <= t_lt;
-  a->maxmax_s = std::max(a->maxmax_s, below_dp ? mx : 0.0);
-  a->minmin_t2 = std::min(a->minmin_t2, below_do ? mn2 : kInf);
-}
-
-// Folds lanes [k, r.n) with the scalar loop into an existing aggregate —
-// the reference path and the shared tail of both SIMD paths.
-inline void FoldScalarLanes(const RectLanes& r, const double* max_po,
-                            size_t k, double px, double py, double d_o,
-                            double t_lt, UserLaneAgg* a) {
-  for (; k < r.n; ++k) {
-    FoldLane(RectMinDist2Lane(r, k, px, py), max_po[k], d_o, t_lt, a);
-  }
-}
-
-// Pure-scalar aggregation (MPN_LANE_ISA=scalar, or no SSE2 at build time).
-UserLaneAgg AggregateUserLanesScalar(const RectLanes& r, const double* max_po,
-                                     double px, double py, double d_o,
-                                     double t_lt) {
-  UserLaneAgg a;
-  FoldScalarLanes(r, max_po, 0, px, py, d_o, t_lt, &a);
-  return a;
-}
-
-#if defined(__SSE2__)
-// Aggregates all lanes of one user: squared Rect::MinDist per lane (the exact
-// IEEE square the scalar path feeds to sqrt) plus the three reductions. GCC
-// will not auto-vectorize floating min/max reductions without fast-math,
-// so the two-wide SSE2 form is written out by hand; maxpd/minpd/cmppd are
-// exact IEEE selections and compares, keeping every aggregate bit-identical
-// to the scalar loop (the fallback below and the tail share its code).
-UserLaneAgg AggregateUserLanesSse2(const RectLanes& r, const double* max_po,
-                                   double px, double py, double d_o,
-                                   double t_lt) {
-  UserLaneAgg a;
-  const size_t end = r.n;
-  size_t k = 0;
-  if (end >= 2) {
-    const __m128d vpx = _mm_set1_pd(px);
-    const __m128d vpy = _mm_set1_pd(py);
-    const __m128d vdo = _mm_set1_pd(d_o);
-    const __m128d vtl = _mm_set1_pd(t_lt);
-    const __m128d vzero = _mm_setzero_pd();
-    const __m128d vinf = _mm_set1_pd(kInf);
-    // Two accumulator sets (4 lanes per iteration) so the serial
-    // min/max latency chains overlap; accumulators merge with the same
-    // selection at the end, so the split cannot change any value.
-    __m128d min_mx = vinf, maxmax_s = vzero, minmin_t2 = vinf;
-    __m128d min_mx1 = vinf, maxmax_s1 = vzero, minmin_t21 = vinf;
-    const auto fold2 = [&](size_t at, __m128d* mn_mx, __m128d* mm_s,
-                           __m128d* mn_t2) {
-      const __m128d dx = _mm_max_pd(
-          _mm_max_pd(_mm_sub_pd(_mm_loadu_pd(r.lo_x + at), vpx), vzero),
-          _mm_sub_pd(vpx, _mm_loadu_pd(r.hi_x + at)));
-      const __m128d dy = _mm_max_pd(
-          _mm_max_pd(_mm_sub_pd(_mm_loadu_pd(r.lo_y + at), vpy), vzero),
-          _mm_sub_pd(vpy, _mm_loadu_pd(r.hi_y + at)));
-      const __m128d mn2 =
-          _mm_add_pd(_mm_mul_pd(dx, dx), _mm_mul_pd(dy, dy));
-      const __m128d mx = _mm_loadu_pd(max_po + at);
-      *mn_mx = _mm_min_pd(*mn_mx, mx);
-      const __m128d below_dp = _mm_cmple_pd(mn2, vtl);
-      const __m128d below_do = _mm_cmplt_pd(mx, vdo);
-      // below_dp ? mx : 0.0 — the all-ones mask ANDs to mx, else +0.0.
-      *mm_s = _mm_max_pd(*mm_s, _mm_and_pd(below_dp, mx));
-      *mn_t2 = _mm_min_pd(
-          *mn_t2, _mm_or_pd(_mm_and_pd(below_do, mn2),
-                            _mm_andnot_pd(below_do, vinf)));
-    };
-    for (; k + 4 <= end; k += 4) {
-      fold2(k, &min_mx, &maxmax_s, &minmin_t2);
-      fold2(k + 2, &min_mx1, &maxmax_s1, &minmin_t21);
+// Case 3 when d_o > d_p and every other user's T group (mx < d_o) is
+// non-empty: some user j != user_i has min ||p,t||_min >= d_o over its
+// tiles with mx < d_o. The min is folded over squares and takes one sqrt.
+bool SomeUserHoldsCase3(const TileSnapshot& snap, size_t user_i,
+                        const Point& p, double d_o) {
+  for (size_t j = 0; j < snap.users(); ++j) {
+    if (j == user_i) continue;
+    const RectLanes r = snap.region(j).lanes();
+    const double* max_po = snap.max_po(j);
+    double min2 = kInf;
+    for (size_t k = 0; k < r.n; ++k) {
+      if (max_po[k] < d_o) {
+        min2 = std::min(min2, RectMinDist2Lane(r, k, p.x, p.y));
+      }
     }
-    for (; k + 2 <= end; k += 2) fold2(k, &min_mx, &maxmax_s, &minmin_t2);
-    min_mx = _mm_min_pd(min_mx, min_mx1);
-    maxmax_s = _mm_max_pd(maxmax_s, maxmax_s1);
-    minmin_t2 = _mm_min_pd(minmin_t2, minmin_t21);
-    double lane2[2];
-    _mm_storeu_pd(lane2, min_mx);
-    a.min_mx = std::min(lane2[0], lane2[1]);
-    _mm_storeu_pd(lane2, maxmax_s);
-    a.maxmax_s = std::max(lane2[0], lane2[1]);
-    _mm_storeu_pd(lane2, minmin_t2);
-    a.minmin_t2 = std::min(lane2[0], lane2[1]);
+    if (std::sqrt(min2) >= d_o) return true;
   }
-  FoldScalarLanes(r, max_po, k, px, py, d_o, t_lt, &a);
-  return a;
-}
-#endif  // __SSE2__
-
-#if defined(MPN_HAVE_AVX2_PATH)
-// One four-wide fold step of the AVX2 path (free function rather than a
-// lambda: the target attribute does not propagate into lambda bodies on
-// older GCC).
-__attribute__((target("avx2"))) inline void Fold4Avx2(
-    const RectLanes& r, const double* max_po, size_t at, __m256d vpx,
-    __m256d vpy, __m256d vdo, __m256d vtl, __m256d vzero, __m256d vinf,
-    __m256d* mn_mx, __m256d* mm_s, __m256d* mn_t2) {
-  const __m256d dx = _mm256_max_pd(
-      _mm256_max_pd(_mm256_sub_pd(_mm256_loadu_pd(r.lo_x + at), vpx), vzero),
-      _mm256_sub_pd(vpx, _mm256_loadu_pd(r.hi_x + at)));
-  const __m256d dy = _mm256_max_pd(
-      _mm256_max_pd(_mm256_sub_pd(_mm256_loadu_pd(r.lo_y + at), vpy), vzero),
-      _mm256_sub_pd(vpy, _mm256_loadu_pd(r.hi_y + at)));
-  const __m256d mn2 =
-      _mm256_add_pd(_mm256_mul_pd(dx, dx), _mm256_mul_pd(dy, dy));
-  const __m256d mx = _mm256_loadu_pd(max_po + at);
-  *mn_mx = _mm256_min_pd(*mn_mx, mx);
-  const __m256d below_dp = _mm256_cmp_pd(mn2, vtl, _CMP_LE_OQ);
-  const __m256d below_do = _mm256_cmp_pd(mx, vdo, _CMP_LT_OQ);
-  *mm_s = _mm256_max_pd(*mm_s, _mm256_and_pd(below_dp, mx));
-  *mn_t2 = _mm256_min_pd(*mn_t2,
-                         _mm256_or_pd(_mm256_and_pd(below_do, mn2),
-                                      _mm256_andnot_pd(below_do, vinf)));
+  return false;
 }
 
-// Four-wide AVX2 form of the same fold, dual accumulators (8 lanes per
-// iteration). vmaxpd/vminpd/vcmppd are the same exact IEEE selections as
-// their SSE2 counterparts and the reductions are pure min/max, so every
-// aggregate stays bit-identical to the scalar loop.
-__attribute__((target("avx2"))) UserLaneAgg AggregateUserLanesAvx2(
-    const RectLanes& r, const double* max_po, double px, double py,
-    double d_o, double t_lt) {
-  UserLaneAgg a;
-  const size_t end = r.n;
-  size_t k = 0;
-  if (end >= 4) {
-    const __m256d vpx = _mm256_set1_pd(px);
-    const __m256d vpy = _mm256_set1_pd(py);
-    const __m256d vdo = _mm256_set1_pd(d_o);
-    const __m256d vtl = _mm256_set1_pd(t_lt);
-    const __m256d vzero = _mm256_setzero_pd();
-    const __m256d vinf = _mm256_set1_pd(kInf);
-    __m256d min_mx = vinf, maxmax_s = vzero, minmin_t2 = vinf;
-    __m256d min_mx1 = vinf, maxmax_s1 = vzero, minmin_t21 = vinf;
-    for (; k + 8 <= end; k += 8) {
-      Fold4Avx2(r, max_po, k, vpx, vpy, vdo, vtl, vzero, vinf, &min_mx,
-                &maxmax_s, &minmin_t2);
-      Fold4Avx2(r, max_po, k + 4, vpx, vpy, vdo, vtl, vzero, vinf, &min_mx1,
-                &maxmax_s1, &minmin_t21);
+// Case 2's failure when d_o <= d_p: some other user's tile has
+// mn < d_p (mn2 <= t_lt) and mx > d_p.
+bool SomeSLaneAboveDp(const TileSnapshot& snap, size_t user_i,
+                      const Point& p, double d_p, double t_lt) {
+  for (size_t j = 0; j < snap.users(); ++j) {
+    if (j == user_i) continue;
+    const RectLanes r = snap.region(j).lanes();
+    const double* max_po = snap.max_po(j);
+    for (size_t k = 0; k < r.n; ++k) {
+      if (max_po[k] > d_p && RectMinDist2Lane(r, k, p.x, p.y) <= t_lt) {
+        return true;
+      }
     }
-    for (; k + 4 <= end; k += 4) {
-      Fold4Avx2(r, max_po, k, vpx, vpy, vdo, vtl, vzero, vinf, &min_mx,
-                &maxmax_s, &minmin_t2);
-    }
-    min_mx = _mm256_min_pd(min_mx, min_mx1);
-    maxmax_s = _mm256_max_pd(maxmax_s, maxmax_s1);
-    minmin_t2 = _mm256_min_pd(minmin_t2, minmin_t21);
-    double lane4[4];
-    _mm256_storeu_pd(lane4, min_mx);
-    a.min_mx = std::min(std::min(lane4[0], lane4[1]),
-                        std::min(lane4[2], lane4[3]));
-    _mm256_storeu_pd(lane4, maxmax_s);
-    a.maxmax_s = std::max(std::max(lane4[0], lane4[1]),
-                          std::max(lane4[2], lane4[3]));
-    _mm256_storeu_pd(lane4, minmin_t2);
-    a.minmin_t2 = std::min(std::min(lane4[0], lane4[1]),
-                           std::min(lane4[2], lane4[3]));
   }
-  FoldScalarLanes(r, max_po, k, px, py, d_o, t_lt, &a);
-  return a;
-}
-#endif  // MPN_HAVE_AVX2_PATH
-
-using LaneAggFn = UserLaneAgg (*)(const RectLanes&, const double*, double,
-                                  double, double, double);
-
-// Picks the widest fold the CPU supports. `request` (normally the
-// MPN_LANE_ISA environment variable) pins a narrower path for differential
-// testing and perf triage; requests the hardware cannot honor fall back to
-// the widest supported path at or below the request.
-LaneAggFn ResolveLaneAggFn(const char* request) {
-  const bool want_scalar =
-      request != nullptr && std::strcmp(request, "scalar") == 0;
-  const bool want_sse2 = request != nullptr && std::strcmp(request, "sse2") == 0;
-#if defined(MPN_HAVE_AVX2_PATH)
-  if (!want_scalar && !want_sse2 && __builtin_cpu_supports("avx2")) {
-    return &AggregateUserLanesAvx2;
-  }
-#endif
-#if defined(__SSE2__)
-  if (!want_scalar) return &AggregateUserLanesSse2;
-#endif
-  return &AggregateUserLanesScalar;
-}
-
-// Latched on first use (relaxed is enough: racing resolvers compute the
-// same pointer from the same environment).
-std::atomic<LaneAggFn> g_lane_agg_fn{nullptr};
-
-inline LaneAggFn LaneAggImpl() {
-  LaneAggFn fn = g_lane_agg_fn.load(std::memory_order_relaxed);
-  if (fn == nullptr) {
-    fn = ResolveLaneAggFn(std::getenv("MPN_LANE_ISA"));
-    g_lane_agg_fn.store(fn, std::memory_order_relaxed);
-  }
-  return fn;
-}
-
-inline UserLaneAgg AggregateUserLanes(const RectLanes& r,
-                                      const double* max_po, double px,
-                                      double py, double d_o, double t_lt) {
-  return LaneAggImpl()(r, max_po, px, py, d_o, t_lt);
+  return false;
 }
 
 }  // namespace
-
-const char* LaneIsaName() {
-  const LaneAggFn fn = LaneAggImpl();
-#if defined(MPN_HAVE_AVX2_PATH)
-  if (fn == &AggregateUserLanesAvx2) return "avx2";
-#endif
-#if defined(__SSE2__)
-  if (fn == &AggregateUserLanesSse2) return "sse2";
-#endif
-  (void)fn;
-  return "scalar";
-}
-
-void SetLaneIsaForTesting(const char* isa) {
-  g_lane_agg_fn.store(ResolveLaneAggFn(isa), std::memory_order_relaxed);
-}
 
 bool TileVerifier::VerifyTileThreadSafe(const std::vector<TileRegion>& regions,
                                         size_t user_i, const Rect& s,
@@ -406,25 +189,25 @@ bool MaxGtVerifier::VerifyTileThreadSafe(const std::vector<TileRegion>& regions,
 bool MaxGtVerifier::VerifyTileLanes(const TileLanes& lanes, size_t user_i,
                                     const Rect& s, const Candidate& cand,
                                     VerifyStats* stats) const {
-  // Decision-identical to VerifyTileThreadSafe. The whole-region values
-  // (line 1, case 4's M* and N*, the G^dd u G^ud emptiness test) come from
-  // the snapshot: top(j) is max ||po,t||_max over R_j and the candidate
-  // row's min_mn2[j] the min squared ||p,t||_min, both folded once per
-  // tile. So line 1 is decided in O(m) before any lane is read. Only when
-  // it fails does the lane loop run, in the squared-distance domain with
-  // no per-lane sqrt or branch:
-  //  - mx = ||po,t||_max is read from the snapshot, which computed it once
-  //    when the tile was committed (the candidate-independent half of every
-  //    GT predicate);
-  //  - mn2 below is the exact square the scalar path feeds to sqrt, so
-  //    mn < d_p becomes mn2 <= SqrtLtThreshold(d_p) (see lanes.h);
-  //  - every aggregate is a min/max selection, which commutes with the
-  //    monotone correctly-rounded sqrt, so folding squares and taking one
-  //    sqrt per user yields the identical double;
-  //  - the group-nonempty flags are derived from masked minima after the
-  //    loop: "some lane passes a <= threshold" iff "the masked min does";
-  //  - conditional updates become selects with fold identities (0 for max
-  //    over nonnegative distances, +inf for min).
+  // Decision-identical to VerifyTileThreadSafe, but no lane is read until
+  // the snapshot's O(m) values have failed to decide the call. top(j) and
+  // the candidate row's min_mn2[j] give line 1; min_mn2[j] <= t_lt says
+  // user j's S group (mn < d_p) is non-empty and bot_po(j) < d_o that its
+  // T group (mx < d_o) is. Three facts then
+  // settle cases 1-3 with at most one single-predicate scan:
+  //  - G^dd_j lies in both G^s_j and G^t_j, so an empty S or T group
+  //    empties some G^dd and makes case 1 vacuous;
+  //  - case2_top starts at d_o, so with d_o > d_p case 2 holds only when
+  //    some S group is empty; every S group non-empty rejects at once;
+  //  - with d_o <= d_p, cases 1 and 3 hold (case3_bot >= d_p >= d_o) and
+  //    case 2 is "no lane with mn < d_p and mx > d_p"; with d_o > d_p and
+  //    every T group non-empty, case 3 needs one user whose min mn over
+  //    its mx < d_o lanes is >= d_o (an empty T group's min is +inf, so
+  //    the T flags only spare that scan).
+  // Lane tests stay in the squared domain: mn2 is the exact square the AoS
+  // path feeds to sqrt, so mn < d_p becomes mn2 <= SqrtLtThreshold(d_p)
+  // (see lanes.h), and sqrt is monotone and correctly rounded, so it
+  // commutes with every min and max taken here.
   ++stats->calls;
   const double d_o = lanes.d_o;          // == s.MaxDist(po)
   const double d_p = s.MinDist(cand.p);  // dominant min dist of the new tile
@@ -433,15 +216,15 @@ bool MaxGtVerifier::VerifyTileLanes(const TileLanes& lanes, size_t user_i,
   MPN_DCHECK(cand.slot < snap.rows() && snap.row_point(cand.slot) == cand.p);
   const double* min_mn2 = snap.min_mn2(cand.slot);
 
-  // Line 1: Lemma 1 on the whole regions with {s} for user_i. The maxima
-  // over the other users are also case 4's M* and N*.
+  // Line 1: Lemma 1 on the whole regions with {s} for user_i.
   double m_star = 0.0;
-  double n_star = 0.0;
+  double n_star2 = 0.0;
   for (size_t j = 0; j < m; ++j) {
     if (j == user_i) continue;
     m_star = std::max(m_star, snap.top(j));
-    n_star = std::max(n_star, std::sqrt(min_mn2[j]));
+    n_star2 = std::max(n_star2, min_mn2[j]);
   }
+  const double n_star = std::sqrt(n_star2);
   if (std::max(d_o, m_star) <= std::max(d_p, n_star)) {
     ++stats->accepted;
     return true;
@@ -450,47 +233,42 @@ bool MaxGtVerifier::VerifyTileLanes(const TileLanes& lanes, size_t user_i,
   if (m == 1) return false;
 
   const double t_lt = SqrtLtThreshold(d_p);
-  const double px = cand.p.x, py = cand.p.y;
-  bool any_dd_empty = false;
   bool any_s_empty = false;
   bool any_t_empty = false;
-  double case2_top = d_o;
-  double case3_bot = d_p;
   for (size_t j = 0; j < m; ++j) {
     if (j == user_i) continue;
-    const RectLanes r = snap.region(j).lanes();
-    MPN_DCHECK(r.n > 0);
-    const UserLaneAgg agg =
-        AggregateUserLanes(r, snap.max_po(j), px, py, d_o, t_lt);
-    const bool has_s = min_mn2[j] <= t_lt;        // some mn < d_p
-    const bool has_t = agg.min_mx < d_o;          // some mx < d_o
-    const bool has_dd = agg.minmin_t2 <= t_lt;    // some lane in both groups
-    const double minmin_t = std::sqrt(agg.minmin_t2);  // +inf stays +inf
-    any_dd_empty |= !has_dd;
-    any_s_empty |= !has_s;
-    any_t_empty |= !has_t;
-    if (has_s) case2_top = std::max(case2_top, agg.maxmax_s);
-    if (has_t) case3_bot = std::max(case3_bot, minmin_t);
+    any_s_empty |= !(min_mn2[j] <= t_lt);
+    any_t_empty |= !(snap.bot_po(j) < d_o);
+  }
+  if (d_o > d_p) {
+    if (!any_s_empty) return false;  // case 2
+    if (!any_t_empty && !SomeUserHoldsCase3(snap, user_i, cand.p, d_o)) {
+      return false;  // case 3
+    }
+  } else if (!any_s_empty && SomeSLaneAboveDp(snap, user_i, cand.p, d_p,
+                                               t_lt)) {
+    return false;  // case 2
   }
 
-  const bool case1 = any_dd_empty || d_o <= d_p;
-  const bool case2 = any_s_empty || case2_top <= d_p;
-  const bool case3 = any_t_empty || d_o <= case3_bot;
-  if (!case1 || !case2 || !case3) return false;
-
-  // Case 4 reads user_i's own lanes; the squared test mirrors the scalar
+  // Case 4 accepts only through a role tile of user_i: its other test,
+  // M* <= max(d_p, N*), cannot hold here. With line 1 failed it would put
+  // every other tile's mx below d_o > max(d_p, N*), so every T group would
+  // be full and case 3 would have needed N* >= d_o. A role tile has
+  // ||po,t||_max >= d_o and ||p,t||_min <= d_p, so user_i's lanes are read
+  // only when top(i) and min_mn2[i] allow one; the squared test mirrors
   // t.MinDist(p) <= d_p via the non-strict threshold.
-  bool has_role_tile = false;
-  const double t_le = SqrtLeqThreshold(d_p);
-  const RectLanes r = snap.region(user_i).lanes();
-  const double* max_po = snap.max_po(user_i);
-  for (size_t k = 0; k < r.n; ++k) {
-    if (max_po[k] >= d_o && RectMinDist2Lane(r, k, px, py) <= t_le) {
-      has_role_tile = true;
-      break;
+  bool case4 = false;
+  if (snap.top(user_i) >= d_o) {
+    const double t_le = SqrtLeqThreshold(d_p);
+    if (min_mn2[user_i] <= t_le) {
+      const RectLanes r = snap.region(user_i).lanes();
+      const double* max_po = snap.max_po(user_i);
+      for (size_t k = 0; k < r.n && !case4; ++k) {
+        case4 = max_po[k] >= d_o &&
+                RectMinDist2Lane(r, k, cand.p.x, cand.p.y) <= t_le;
+      }
     }
   }
-  const bool case4 = has_role_tile || m_star <= std::max(d_p, n_star);
   if (case4) ++stats->accepted;
   return case4;
 }

@@ -8,9 +8,9 @@
 //    other user's tiles into the four dominance groups induced by
 //    do = ||po,s||_max and dp = ||p,s||_min and tests the grouped region
 //    sets with Lemma 1 in a single pass per user. Conservative and sound;
-//    O(sum_j |R_j|) per (tile, candidate), except that the SoA kernel
-//    decides the whole-region Lemma-1 test (line 1) in O(m) from the
-//    snapshot's running values and the candidate's row.
+//    O(sum_j |R_j|) per (tile, candidate). The SoA kernel decides from the
+//    snapshot's running values and the candidate's row in O(m) first and
+//    scans lanes only for what those leave open.
 //
 //  * MaxItVerifier  — IT-Verify: exhaustively enumerates every tile group
 //    <t_1..t_m> and applies Lemma 1 per group. Exact w.r.t. tile-group
@@ -89,10 +89,9 @@ class TileVerifier {
 
   /// SoA verification core: decision and counters bit-identical to
   /// VerifyTileThreadSafe, but reading the snapshot; `cand` must be
-  /// interned in it (TileSnapshot::Intern). The lane loop runs entirely in
-  /// the squared-distance domain (no per-lane sqrt; see SqrtLtThreshold for
-  /// the exactness argument), which is where the SoA kernel's throughput
-  /// comes from.
+  /// interned in it (TileSnapshot::Intern). Lane scans run entirely in the
+  /// squared-distance domain (no per-lane sqrt; see SqrtLtThreshold for the
+  /// exactness argument).
   virtual bool VerifyTileLanes(const TileLanes& lanes, size_t user_i,
                                const Rect& s, const Candidate& cand,
                                VerifyStats* stats) const;
@@ -198,17 +197,5 @@ class SumHyperbolaVerifier : public TileVerifier {
   // committed into memo_[user] only when the tile is accepted.
   std::unordered_map<uint32_t, double> pending_;
 };
-
-/// Name of the lane-aggregation path the SoA verifier is running on
-/// ("scalar", "sse2" or "avx2"). The widest CPU-supported path is chosen
-/// at first use; MPN_LANE_ISA=scalar|sse2|avx2 in the environment pins a
-/// narrower one (requests the hardware cannot honor fall back).
-const char* LaneIsaName();
-
-/// Test hook: re-resolves the lane-aggregation path as if MPN_LANE_ISA were
-/// `isa` (nullptr = auto-detect). Every path is bit-identical, which is
-/// exactly what differential tests pin down with this. Not thread-safe
-/// against in-flight verifications.
-void SetLaneIsaForTesting(const char* isa);
 
 }  // namespace mpn

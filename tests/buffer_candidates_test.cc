@@ -54,14 +54,14 @@ TEST_P(PruningSoundnessTest, PrunedPointsCanNeverWin) {
     FreshCandidateSource source(&s.tree, &s.users, obj, circle.po_id,
                                 circle.po);
     TileSnapshot snap(regions, s.users, circle.po);
-    CandidateSet cands;
+    std::vector<Candidate> cands;
     const size_t ui = trial % m;
     const Rect tile = regions[ui].TileRect(GridTile{0, 0, 1});
-    ASSERT_TRUE(source.GetCandidates(&snap, ui, tile, nullptr, &cands));
+    ASSERT_TRUE(source.GetCandidates(&snap, ui, tile, &cands));
 
     std::set<uint32_t> allowed;
     allowed.insert(circle.po_id);
-    for (const Candidate& c : cands.items) allowed.insert(c.id);
+    for (const Candidate& c : cands) allowed.insert(c.id);
 
     for (int inst = 0; inst < 80; ++inst) {
       std::vector<Point> locations;
@@ -83,20 +83,20 @@ INSTANTIATE_TEST_SUITE_P(Objectives, PruningSoundnessTest,
                            return ObjectiveName(info.param);
                          });
 
-std::vector<uint32_t> Ids(const CandidateSet& set) {
+std::vector<uint32_t> Ids(const std::vector<Candidate>& list) {
   std::vector<uint32_t> ids;
-  for (const Candidate& c : set.items) ids.push_back(c.id);
+  for (const Candidate& c : list) ids.push_back(c.id);
   return ids;
 }
 
 class ParentReuseTest : public ::testing::TestWithParam<Objective> {};
 
 // Replays Divide-Verify's recursion shape: a rejected tile's four children
-// (and their children) retrieve with the enclosing tile's set as parent,
-// while some siblings get committed in between. Every parent-derived list
-// must equal a fresh index traversal by a source that has made no other
-// retrieval, and the brute-force set; the reuse path must be the one that
-// usually runs (it touches no index node).
+// (and their children) retrieve after it, while some siblings get
+// committed in between. Every list must equal a fresh index traversal by a
+// source that has made no other retrieval, and the brute-force set; the
+// envelope filter must be the path that usually runs (it touches no index
+// node).
 TEST_P(ParentReuseTest, FilteredParentEqualsFreshTraversal) {
   const Objective obj = GetParam();
   Rng rng(0x9A7E);
@@ -114,26 +114,29 @@ TEST_P(ParentReuseTest, FilteredParentEqualsFreshTraversal) {
     // A new source per call, so each oracle list comes from its own
     // traversal at exactly that call's bounds.
     CandidateStats oracle_stats;
-    const auto fresh_traversal = [&](const Rect& rect, CandidateSet* fresh) {
+    const auto fresh_traversal = [&](const Rect& rect,
+                                     std::vector<Candidate>* fresh) {
       FreshCandidateSource oracle(&s.tree, &s.users, obj, circle.po_id,
                                   circle.po);
-      ASSERT_TRUE(oracle.GetCandidates(&snap, ui, rect, nullptr, fresh));
+      ASSERT_TRUE(oracle.GetCandidates(&snap, ui, rect, fresh));
       ASSERT_GT(oracle.node_accesses(), 0u);
-      ASSERT_EQ(Ids(*fresh), BruteForceIds(s, circle.po_id, obj, fresh->bound));
+      std::vector<double> bound;
+      oracle.Bounds(snap, ui, rect, &bound);
+      ASSERT_EQ(Ids(*fresh), BruteForceIds(s, circle.po_id, obj, bound));
       oracle_stats.retrievals += oracle.stats().retrievals;
       oracle_stats.candidates_total += oracle.stats().candidates_total;
     };
     const GridTile top{0, static_cast<int32_t>(rng.UniformInt(-2, 2)), 1};
-    CandidateSet parent;
-    ASSERT_TRUE(source.GetCandidates(&snap, ui, snap.region(ui).TileRect(top),
-                                     nullptr, &parent));
+    std::vector<Candidate> top_list;
+    ASSERT_TRUE(source.GetCandidates(
+        &snap, ui, snap.region(ui).TileRect(top), &top_list));
     GridTile children[4];
     top.Children(children);
     for (const GridTile& child : children) {
-      CandidateSet got, fresh;
+      std::vector<Candidate> got, fresh;
       const Rect rect = snap.region(ui).TileRect(child);
       const uint64_t before = source.node_accesses();
-      ASSERT_TRUE(source.GetCandidates(&snap, ui, rect, &parent, &got));
+      ASSERT_TRUE(source.GetCandidates(&snap, ui, rect, &got));
       if (source.node_accesses() == before) ++reused;
       ASSERT_NO_FATAL_FAILURE(fresh_traversal(rect, &fresh));
       ASSERT_EQ(Ids(got), Ids(fresh)) << "trial " << trial;
@@ -141,9 +144,9 @@ TEST_P(ParentReuseTest, FilteredParentEqualsFreshTraversal) {
       GridTile grandchildren[4];
       child.Children(grandchildren);
       for (const GridTile& g : grandchildren) {
-        CandidateSet g_got, g_fresh;
+        std::vector<Candidate> g_got, g_fresh;
         const Rect g_rect = snap.region(ui).TileRect(g);
-        ASSERT_TRUE(source.GetCandidates(&snap, ui, g_rect, &got, &g_got));
+        ASSERT_TRUE(source.GetCandidates(&snap, ui, g_rect, &g_got));
         ASSERT_NO_FATAL_FAILURE(fresh_traversal(g_rect, &g_fresh));
         ASSERT_EQ(Ids(g_got), Ids(g_fresh)) << "trial " << trial;
         ++checked;
@@ -154,15 +157,18 @@ TEST_P(ParentReuseTest, FilteredParentEqualsFreshTraversal) {
     // Both paths count retrievals and candidates identically.
     EXPECT_EQ(source.stats().retrievals, oracle_stats.retrievals + 1);
     EXPECT_EQ(source.stats().candidates_total,
-              oracle_stats.candidates_total + parent.items.size());
+              oracle_stats.candidates_total + top_list.size());
   }
   EXPECT_GT(checked, 200u);
   EXPECT_GT(reused, checked / 8);
 }
 
-// A child bound one ulp above its parent's must take the traversal path:
-// the parent list below carries a planted id that no traversal can return,
-// so it survives exactly when the list was filtered instead.
+// The envelope. A bound inside it filters the envelope's list and touches
+// no index node; a bound one ulp above it in any single component
+// traverses exactly once, at the componentwise max of the two. The index
+// holds a planted POI (at po, so inside every Theorem-3/6 bound) only for
+// the first retrieval and loses it afterwards: the planted id survives
+// exactly when a list was filtered from that first retrieval.
 TEST_P(ParentReuseTest, LargerChildBoundFallsBackToTraversal) {
   const Objective obj = GetParam();
   const Scenario s = MakeScenario(400, 3, 7301, 600.0);
@@ -171,35 +177,69 @@ TEST_P(ParentReuseTest, LargerChildBoundFallsBackToTraversal) {
   TileSnapshot snap(
       InitialRegions(s.users, std::sqrt(2.0) * circle.rmax), s.users,
       circle.po);
-  FreshCandidateSource source(&s.tree, &s.users, obj, circle.po_id, circle.po);
+  constexpr uint32_t kPlanted = 1u << 30;  // no such POI in s.pois
+  RTree tree = RTree::BulkLoad(s.pois);
+  tree.Insert(circle.po, kPlanted);
+  FreshCandidateSource source(&tree, &s.users, obj, circle.po_id, circle.po);
   const Rect rect = snap.region(1).TileRect(GridTile{1, 2, 1});
-  CandidateSet fresh;
-  ASSERT_TRUE(source.GetCandidates(&snap, 1, rect, nullptr, &fresh));
-  ASSERT_FALSE(fresh.bound.empty());
+  std::vector<double> envelope;
+  source.Bounds(snap, 1, rect, &envelope);
+  ASSERT_FALSE(envelope.empty());
+  std::vector<Candidate> first;
+  ASSERT_TRUE(source.GetCandidates(&snap, 1, rect, &first));
+  ASSERT_FALSE(first.empty());
+  EXPECT_EQ(first.back().id, kPlanted);
+  tree = RTree::BulkLoad(s.pois);  // no traversal can return kPlanted now
 
-  constexpr uint32_t kPlanted = 1u << 30;  // no such POI
-  CandidateSet parent;
-  parent.items = fresh.items;
-  // At po it passes every Theorem-3/6 bound (po lies within them all).
-  parent.items.push_back(snap.Intern(kPlanted, circle.po));
-  for (size_t j = 0; j < fresh.bound.size(); ++j) {
-    parent.bound = fresh.bound;
-    parent.bound[j] = std::nextafter(parent.bound[j],
-                                     -std::numeric_limits<double>::infinity());
-    CandidateSet got;
+  constexpr double kInf = std::numeric_limits<double>::infinity();
+  const auto without_planted = [&](std::vector<Candidate> list) {
+    EXPECT_FALSE(list.empty());
+    if (!list.empty() && list.back().id == kPlanted) list.pop_back();
+    return Ids(list);
+  };
+  // Inside: the envelope itself, then one ulp below it in each component.
+  for (size_t j = 0; j <= envelope.size(); ++j) {
+    std::vector<double> inside = envelope;
+    if (j < envelope.size()) inside[j] = std::nextafter(inside[j], -kInf);
+    std::vector<Candidate> got;
     const uint64_t before = source.node_accesses();
-    ASSERT_TRUE(source.GetCandidates(&snap, 1, rect, &parent, &got));
-    EXPECT_GT(source.node_accesses(), before) << "bound " << j;
-    EXPECT_EQ(Ids(got), Ids(fresh)) << "bound " << j;
+    source.Retrieve(&snap, inside, &got);
+    EXPECT_EQ(source.node_accesses(), before) << "bound " << j;
+    ASSERT_FALSE(got.empty());
+    EXPECT_EQ(got.back().id, kPlanted) << "bound " << j;
+    EXPECT_EQ(without_planted(got),
+              BruteForceIds(s, circle.po_id, obj, inside))
+        << "bound " << j;
   }
-  // Control: equal bounds take the filter path and keep the planted id.
-  parent.bound = fresh.bound;
-  CandidateSet got;
-  const uint64_t before = source.node_accesses();
-  ASSERT_TRUE(source.GetCandidates(&snap, 1, rect, &parent, &got));
-  EXPECT_EQ(source.node_accesses(), before);
-  ASSERT_FALSE(got.items.empty());
-  EXPECT_EQ(got.items.back().id, kPlanted);
+  // One ulp above in component j and one ulp below in every other one.
+  for (size_t j = 0; j < envelope.size(); ++j) {
+    std::vector<double> above = envelope;
+    for (double& b : above) b = std::nextafter(b, -kInf);
+    above[j] = std::nextafter(envelope[j], kInf);
+    std::vector<double> widest = envelope;
+    widest[j] = above[j];
+    // One traversal at the componentwise max, on a source with no envelope.
+    FreshCandidateSource oracle(&tree, &s.users, obj, circle.po_id,
+                                circle.po);
+    std::vector<Candidate> oracle_list;
+    oracle.Retrieve(&snap, widest, &oracle_list);
+    ASSERT_GT(oracle.node_accesses(), 0u);
+
+    std::vector<Candidate> got;
+    const uint64_t before = source.node_accesses();
+    source.Retrieve(&snap, above, &got);
+    EXPECT_EQ(source.node_accesses() - before, oracle.node_accesses())
+        << "bound " << j;
+    EXPECT_EQ(Ids(got), BruteForceIds(s, circle.po_id, obj, above))
+        << "bound " << j;
+    // The componentwise max is the envelope now.
+    envelope = widest;
+    const uint64_t after = source.node_accesses();
+    source.Retrieve(&snap, envelope, &got);
+    EXPECT_EQ(source.node_accesses(), after) << "bound " << j;
+    EXPECT_EQ(Ids(got), Ids(oracle_list)) << "bound " << j;
+    EXPECT_EQ(Ids(got), BruteForceIds(s, circle.po_id, obj, envelope));
+  }
 }
 
 INSTANTIATE_TEST_SUITE_P(Objectives, ParentReuseTest,
@@ -225,11 +265,11 @@ TEST(PruningTest, PrunesFarPoints) {
   FreshCandidateSource source(&tree, &users, Objective::kMax, circle.po_id,
                               circle.po);
   TileSnapshot snap(regions, users, circle.po);
-  CandidateSet cands;
+  std::vector<Candidate> cands;
   ASSERT_TRUE(source.GetCandidates(
-      &snap, 0, regions[0].TileRect(GridTile{0, 1, 0}), nullptr, &cands));
-  for (const Candidate& c : cands.items) EXPECT_NE(c.id, 50u);
-  EXPECT_LT(cands.items.size(), pois.size() - 1);
+      &snap, 0, regions[0].TileRect(GridTile{0, 1, 0}), &cands));
+  for (const Candidate& c : cands) EXPECT_NE(c.id, 50u);
+  EXPECT_LT(cands.size(), pois.size() - 1);
 }
 
 TEST(BufferTest, BetasAreSortedAndMatchDefinition) {
@@ -267,15 +307,15 @@ TEST(BufferTest, SlotSelectionBoundsCandidates) {
   auto regions = InitialRegions(s.users, delta);
   TileSnapshot snap(regions, s.users, source.best().p);
   // Tiny tile -> small dist -> few candidates.
-  CandidateSet small_cands;
+  std::vector<Candidate> small_cands;
   const Rect small = regions[0].TileRect(GridTile{2, 0, 0});
-  ASSERT_TRUE(source.GetCandidates(&snap, 0, small, nullptr, &small_cands));
+  ASSERT_TRUE(source.GetCandidates(&snap, 0, small, &small_cands));
   // Far tile -> larger dist -> at least as many candidates (or rejection).
-  CandidateSet big_cands;
+  std::vector<Candidate> big_cands;
   const Rect far = regions[0].TileRect(GridTile{0, 10, 0});
-  const bool far_ok = source.GetCandidates(&snap, 0, far, nullptr, &big_cands);
+  const bool far_ok = source.GetCandidates(&snap, 0, far, &big_cands);
   if (far_ok) {
-    EXPECT_GE(big_cands.items.size(), small_cands.items.size());
+    EXPECT_GE(big_cands.size(), small_cands.size());
   } else {
     EXPECT_GT(source.stats().rejected_by_buffer, 0u);
   }
@@ -293,10 +333,9 @@ TEST(BufferTest, RejectsTilesBeyondBetaB) {
   // A tile definitely beyond beta_b from the user.
   const int far_cells =
       static_cast<int>(beta_b / regions[0].CellSide(0)) + 3;
-  CandidateSet cands;
+  std::vector<Candidate> cands;
   const bool ok = source.GetCandidates(
-      &snap, 0, regions[0].TileRect(GridTile{0, far_cells, 0}), nullptr,
-      &cands);
+      &snap, 0, regions[0].TileRect(GridTile{0, far_cells, 0}), &cands);
   EXPECT_FALSE(ok);
 }
 
@@ -306,11 +345,11 @@ TEST(BufferTest, SmallDatasetInfiniteBetaAcceptsEverything) {
   BufferedCandidateSource source(s.tree, s.users, Objective::kMax, 100);
   auto regions = InitialRegions(s.users, 10.0);
   TileSnapshot snap(regions, s.users, source.best().p);
-  CandidateSet cands;
+  std::vector<Candidate> cands;
   EXPECT_TRUE(source.GetCandidates(
-      &snap, 0, regions[0].TileRect(GridTile{0, 50, 0}), nullptr, &cands));
+      &snap, 0, regions[0].TileRect(GridTile{0, 50, 0}), &cands));
   // All non-optimal POIs are candidates at most.
-  EXPECT_LE(cands.items.size(), s.pois.size() - 1);
+  EXPECT_LE(cands.size(), s.pois.size() - 1);
 }
 
 }  // namespace

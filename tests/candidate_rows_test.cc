@@ -105,9 +105,9 @@ TEST(CandidateRowsTest, RowsMatchFullRecomputeAsRegionsGrow) {
   }
 }
 
-std::vector<uint32_t> Ids(const CandidateSet& set) {
+std::vector<uint32_t> Ids(const std::vector<Candidate>& list) {
   std::vector<uint32_t> ids;
-  for (const Candidate& c : set.items) ids.push_back(c.id);
+  for (const Candidate& c : list) ids.push_back(c.id);
   return ids;
 }
 
@@ -155,12 +155,14 @@ TEST_P(WidestRetrievalTest, ListsEqualFreshTraversalOverBoundSequence) {
   std::vector<double> envelope;
   size_t traversals = 0, filtered = 0;
   const auto retrieve = [&](size_t i, const Rect& r) {
-    CandidateSet got;
+    std::vector<Candidate> got;
+    std::vector<double> bound;
+    source.Bounds(snap, i, r, &bound);
     const uint64_t before = source.node_accesses();
-    EXPECT_TRUE(source.GetCandidates(&snap, i, r, nullptr, &got));
-    bool within = envelope.size() == got.bound.size();
-    for (size_t j = 0; within && j < got.bound.size(); ++j) {
-      within = got.bound[j] <= envelope[j];
+    EXPECT_TRUE(source.GetCandidates(&snap, i, r, &got));
+    bool within = envelope.size() == bound.size();
+    for (size_t j = 0; within && j < bound.size(); ++j) {
+      within = bound[j] <= envelope[j];
     }
     if (within) {
       EXPECT_EQ(source.node_accesses(), before) << "bound inside envelope";
@@ -168,24 +170,24 @@ TEST_P(WidestRetrievalTest, ListsEqualFreshTraversalOverBoundSequence) {
     } else {
       EXPECT_GT(source.node_accesses(), before) << "bound outside envelope";
       ++traversals;
-      if (envelope.size() != got.bound.size()) envelope = got.bound;
-      for (size_t j = 0; j < got.bound.size(); ++j) {
-        envelope[j] = std::max(envelope[j], got.bound[j]);
+      if (envelope.size() != bound.size()) envelope = bound;
+      for (size_t j = 0; j < bound.size(); ++j) {
+        envelope[j] = std::max(envelope[j], bound[j]);
       }
     }
-    EXPECT_EQ(Ids(got), BruteForceIds(s, po_id, obj, got.bound));
+    EXPECT_EQ(Ids(got), BruteForceIds(s, po_id, obj, bound));
     FreshCandidateSource fresh(&s.tree, &s.users, obj, po_id, po);
-    CandidateSet oracle;
-    EXPECT_TRUE(fresh.GetCandidates(&snap, i, r, nullptr, &oracle));
+    std::vector<Candidate> oracle;
+    EXPECT_TRUE(fresh.GetCandidates(&snap, i, r, &oracle));
     EXPECT_EQ(Ids(got), Ids(oracle));
-    for (const Candidate& c : got.items) EXPECT_LT(c.slot, snap.rows());
+    for (const Candidate& c : got) EXPECT_LT(c.slot, snap.rows());
     return got;
   };
 
   // Grows, then repeats.
   for (double h : {8.0, 12.0, 20.0}) retrieve(0, around(0, h));
-  const CandidateSet widest0 = retrieve(0, around(0, 20.0));
-  EXPECT_FALSE(widest0.items.empty());
+  const std::vector<Candidate> widest0 = retrieve(0, around(0, 20.0));
+  EXPECT_FALSE(widest0.empty());
   // Grows in user 1's component while user 0's falls back to r_up.
   retrieve(1, around(1, 24.0));
   // Inside the componentwise max although above the last bound in user
@@ -199,16 +201,15 @@ TEST_P(WidestRetrievalTest, ListsEqualFreshTraversalOverBoundSequence) {
   const size_t k = obj == Objective::kMax ? 0 : 1;
   Rect r = around(k, obj == Objective::kMax ? 20.0 : 24.0);
   constexpr double kInf = std::numeric_limits<double>::infinity();
-  CandidateSet probe;
+  std::vector<double> probe;
   for (int step = 0; step < 1 << 16; ++step) {
     r.hi.x = std::nextafter(r.hi.x, kInf);
-    FreshCandidateSource fresh(&s.tree, &s.users, obj, po_id, po);
-    ASSERT_TRUE(fresh.GetCandidates(&snap, k, r, nullptr, &probe));
-    if (probe.bound[0] > envelope[0]) break;
+    source.Bounds(snap, k, r, &probe);
+    if (probe[0] > envelope[0]) break;
   }
-  ASSERT_EQ(probe.bound[0], std::nextafter(envelope[0], kInf));
-  for (size_t j = 1; j < probe.bound.size(); ++j) {
-    ASSERT_LE(probe.bound[j], envelope[j]) << "component " << j;
+  ASSERT_EQ(probe[0], std::nextafter(envelope[0], kInf));
+  for (size_t j = 1; j < probe.size(); ++j) {
+    ASSERT_LE(probe[j], envelope[j]) << "component " << j;
   }
   const size_t traversals_before = traversals;
   retrieve(k, r);
@@ -226,7 +227,8 @@ TEST_P(WidestRetrievalTest, ListsEqualFreshTraversalOverBoundSequence) {
 }
 
 // A POI whose distance equals the bound survives, as the predicates are
-// `<=`, on every path: traversal, widest-list filter and parent filter.
+// `<=`, on every path: traversal and envelope filter, through
+// GetCandidates and through Retrieve at the same bound.
 // One user at the origin, po on it, the committed tile [-1,1]^2 and the same
 // rect as the query tile: the MAX bound top + r_up and the SUM bound
 // 0 + 2 * r_up are both sqrt(2) + sqrt(2), the same double as
@@ -243,16 +245,18 @@ TEST_P(WidestRetrievalTest, ExactTiesSurviveEveryPath) {
   TileSnapshot snap(regions, s.users, s.pois[0]);
   FreshCandidateSource source(&s.tree, &s.users, obj, 0, s.pois[0]);
   const Rect rect = snap.region(0).TileRect(GridTile{0, 0, 0});
-  CandidateSet first, again, child;
-  ASSERT_TRUE(source.GetCandidates(&snap, 0, rect, nullptr, &first));
-  ASSERT_EQ(first.bound.size(), 1u);
-  ASSERT_EQ(first.bound[0], Dist(s.pois[1], s.users[0]));
+  std::vector<Candidate> first, again, child;
+  std::vector<double> bound;
+  source.Bounds(snap, 0, rect, &bound);
+  ASSERT_TRUE(source.GetCandidates(&snap, 0, rect, &first));
+  ASSERT_EQ(bound.size(), 1u);
+  ASSERT_EQ(bound[0], Dist(s.pois[1], s.users[0]));
   const std::vector<uint32_t> want = {1, 3};
-  ASSERT_EQ(BruteForceIds(s, 0, obj, first.bound), want);
+  ASSERT_EQ(BruteForceIds(s, 0, obj, bound), want);
   EXPECT_EQ(Ids(first), want);
   const uint64_t before = source.node_accesses();
-  ASSERT_TRUE(source.GetCandidates(&snap, 0, rect, nullptr, &again));
-  ASSERT_TRUE(source.GetCandidates(&snap, 0, rect, &first, &child));
+  ASSERT_TRUE(source.GetCandidates(&snap, 0, rect, &again));
+  source.Retrieve(&snap, bound, &child);
   EXPECT_EQ(source.node_accesses(), before);
   EXPECT_EQ(Ids(again), want);
   EXPECT_EQ(Ids(child), want);
@@ -333,6 +337,265 @@ TEST(LineOneTest, LanesMatchReferenceIncludingExactTies) {
   EXPECT_GT(tie_accepts, 50u);
   EXPECT_GT(accepted, calls / 10);
   EXPECT_LT(accepted, calls - calls / 10);
+}
+
+// The paths of the lane kernel's decision order (VerifyTileLanes), as
+// Theorem 2 defines them. ClassifyCall derives them from the rects with the
+// AoS formulas, never from the kernel's own values.
+enum Path : size_t {
+  kLine1Accept,       // Lemma 1 on the whole regions
+  kSingleUserReject,  // m == 1 and line 1 failed
+  kSEmpty,            // some other user's S group (mn < d_p) is empty...
+  kTEmpty,            // ...some T group (mx < d_o) is...
+  kBothEmpty,         // ...or both are
+  kImmediateReject,   // d_o > d_p with every S group non-empty
+  kCase3Scan,         // d_o > d_p, some S and no T group empty
+  kCase2Scan,         // d_o <= d_p, no S group empty
+  kCase4TopPrecheck,  // ||po,R_i||_max < d_o: no role tile possible
+  kCase4MinPrecheck,  // ||p,R_i||_min > d_p: no role tile possible
+  kCase4LoopHit,      // user i's lanes scanned, a role tile found
+  kCase4LoopMiss,     // user i's lanes scanned, none found
+  kPathCount
+};
+
+const char* const kPathNames[kPathCount] = {
+    "line 1 accept",   "single-user reject", "S empty",
+    "T empty",         "both empty",         "immediate reject",
+    "case-3 scan",     "case-2 scan",        "case-4 top precheck",
+    "case-4 min precheck", "case-4 loop hit", "case-4 loop miss"};
+
+// The paths a GT-Verify call of tile `s` for user `ui` against `p` takes.
+std::vector<Path> ClassifyCall(const TileSnapshot& snap, size_t ui,
+                               const Rect& s, const Point& p) {
+  constexpr double kInf = std::numeric_limits<double>::infinity();
+  const Point& po = snap.po();
+  const double d_o = s.MaxDist(po), d_p = s.MinDist(p);
+  double full_top = d_o, full_bot = d_p, m_star = 0.0, n_star = 0.0;
+  double case2_top = d_o, case3_bot = d_p;
+  bool any_s_empty = false, any_t_empty = false, any_dd_empty = false;
+  for (size_t j = 0; j < snap.users(); ++j) {
+    if (j == ui) continue;
+    double top = 0.0, bot = kInf, maxmax_s = 0.0, minmin_t = kInf;
+    bool has_s = false, has_t = false, has_dd = false;
+    for (const Rect& t : snap.region(j).rects()) {
+      const double mx = t.MaxDist(po), mn = t.MinDist(p);
+      top = std::max(top, mx);
+      bot = std::min(bot, mn);
+      if (mn < d_p) {
+        has_s = true;
+        maxmax_s = std::max(maxmax_s, mx);
+      }
+      if (mx < d_o) {
+        has_t = true;
+        minmin_t = std::min(minmin_t, mn);
+      }
+      has_dd |= mn < d_p && mx < d_o;
+    }
+    full_top = std::max(full_top, top);
+    full_bot = std::max(full_bot, bot);
+    m_star = std::max(m_star, top);
+    n_star = std::max(n_star, bot);
+    any_s_empty |= !has_s;
+    any_t_empty |= !has_t;
+    any_dd_empty |= !has_dd;
+    if (has_s) case2_top = std::max(case2_top, maxmax_s);
+    if (has_t) case3_bot = std::max(case3_bot, minmin_t);
+  }
+  if (full_top <= full_bot) return {kLine1Accept};
+  if (snap.users() == 1) return {kSingleUserReject};
+  std::vector<Path> paths;
+  if (any_s_empty && any_t_empty) {
+    paths.push_back(kBothEmpty);
+  } else if (any_s_empty) {
+    paths.push_back(kSEmpty);
+  } else if (any_t_empty) {
+    paths.push_back(kTEmpty);
+  }
+  if (d_o > d_p) {
+    if (!any_s_empty) {
+      paths.push_back(kImmediateReject);
+      return paths;
+    }
+    if (!any_t_empty) paths.push_back(kCase3Scan);
+  } else if (!any_s_empty) {
+    paths.push_back(kCase2Scan);
+  }
+  const bool case1 = any_dd_empty || d_o <= d_p;
+  const bool case2 = any_s_empty || case2_top <= d_p;
+  const bool case3 = any_t_empty || d_o <= case3_bot;
+  if (!case1 || !case2 || !case3) return paths;
+  // Case 4's M* <= max(d_p, N*) never holds once cases 1-3 passed, so
+  // only a role tile can accept.
+  EXPECT_GT(m_star, std::max(d_p, n_star));
+  double top_i = 0.0, bot_i = kInf;
+  bool role = false;
+  for (const Rect& t : snap.region(ui).rects()) {
+    top_i = std::max(top_i, t.MaxDist(po));
+    bot_i = std::min(bot_i, t.MinDist(p));
+    role |= t.MaxDist(po) >= d_o && t.MinDist(p) <= d_p;
+  }
+  if (top_i < d_o) {
+    paths.push_back(kCase4TopPrecheck);
+  } else if (bot_i > d_p) {
+    paths.push_back(kCase4MinPrecheck);
+  } else {
+    paths.push_back(role ? kCase4LoopHit : kCase4LoopMiss);
+  }
+  return paths;
+}
+
+// Every path of the decision order, reached on integer-grid scenes where
+// the exact ties d_o == d_p, mx == d_o and mn == d_p are common. The lane
+// kernel must return the AoS reference's decision and VerifyStats on every
+// call, and the facts the order rests on must hold: an immediate reject is
+// a reference reject.
+TEST(DecisionOrderTest, EveryPathMatchesReferenceOnIntegerGrid) {
+  Rng rng(0xD0C5);
+  size_t hits[kPathCount] = {};
+  size_t do_dp_ties = 0, mx_do_ties = 0, mn_dp_ties = 0;
+  for (int trial = 0; trial < 1500; ++trial) {
+    const size_t m = 1 + static_cast<size_t>(trial % 4);
+    const auto coord = [&] {
+      return static_cast<double>(rng.UniformInt(0, 8));
+    };
+    const auto random_tile = [&] {
+      const int32_t level = static_cast<int32_t>(rng.UniformInt(0, 1));
+      const int32_t span = 2 << level;
+      return GridTile{level, static_cast<int32_t>(rng.UniformInt(-span, span)),
+                      static_cast<int32_t>(rng.UniformInt(-span, span))};
+    };
+    std::vector<Point> users;
+    std::vector<TileRegion> regions;
+    for (size_t j = 0; j < m; ++j) {
+      users.push_back({coord(), coord()});
+      regions.emplace_back(users.back(), 2.0);
+      regions.back().Add(GridTile{0, 0, 0});
+      const int64_t extra = rng.UniformInt(0, 3);
+      for (int64_t k = 0; k < extra; ++k) regions.back().Add(random_tile());
+    }
+    const Point po{coord(), coord()};
+    TileSnapshot snap(regions, users, po);
+    MaxGtVerifier gt;
+    VerifyStats ref_stats, lane_stats;
+    uint32_t next_id = 0;
+    for (int round = 0; round < 6; ++round) {
+      const size_t ui = static_cast<size_t>(rng.UniformInt(0, m - 1));
+      // Half the probes re-test a committed tile of user i, which then is
+      // its own role tile with ||po,t||_max == d_o exactly.
+      const TileRegion& own = snap.region(ui);
+      const GridTile tile =
+          round % 2 == 0
+              ? own.tiles()[static_cast<size_t>(
+                    rng.UniformInt(0, own.size() - 1))]
+              : random_tile();
+      const Rect s = own.TileRect(tile);
+      const TileLanes lanes{&snap, s.MaxDist(po)};
+      for (int c = 0; c < 10; ++c) {
+        const Point p = c % 5 == 0 ? po : Point{coord(), coord()};
+        const Candidate cand = snap.Intern(next_id++, p);
+        const bool a = gt.VerifyTileThreadSafe(snap.regions(), ui, s, cand,
+                                               po, &ref_stats);
+        const bool b = gt.VerifyTileLanes(lanes, ui, s, cand, &lane_stats);
+        ASSERT_EQ(a, b) << "trial " << trial << " round " << round
+                        << " cand " << c;
+        for (Path path : ClassifyCall(snap, ui, s, p)) {
+          ++hits[path];
+          if (path == kImmediateReject || path == kSingleUserReject ||
+              path == kCase4TopPrecheck || path == kCase4MinPrecheck ||
+              path == kCase4LoopMiss) {
+            EXPECT_FALSE(a) << kPathNames[path];
+          }
+          if (path == kLine1Accept || path == kCase4LoopHit) {
+            EXPECT_TRUE(a) << kPathNames[path];
+          }
+        }
+        const double d_o = lanes.d_o, d_p = s.MinDist(p);
+        do_dp_ties += d_o == d_p;
+        for (size_t j = 0; j < m; ++j) {
+          if (j == ui) continue;
+          for (const Rect& t : snap.region(j).rects()) {
+            mx_do_ties += t.MaxDist(po) == d_o;
+            mn_dp_ties += t.MinDist(p) == d_p;
+          }
+        }
+      }
+      snap.Add(ui, random_tile());
+    }
+    ASSERT_EQ(ref_stats.calls, lane_stats.calls);
+    ASSERT_EQ(ref_stats.accepted, lane_stats.accepted);
+    ASSERT_EQ(ref_stats.tile_groups, lane_stats.tile_groups);
+    ASSERT_EQ(ref_stats.focal_evals, lane_stats.focal_evals);
+    ASSERT_EQ(ref_stats.memo_hits, lane_stats.memo_hits);
+  }
+  for (size_t path = 0; path < kPathCount; ++path) {
+    EXPECT_GT(hits[path], 0u) << kPathNames[path] << " never reached";
+  }
+  EXPECT_GT(do_dp_ties, 0u);
+  EXPECT_GT(mx_do_ties, 0u);
+  EXPECT_GT(mn_dp_ties, 0u);
+}
+
+// Lanes at the exact strict threshold: user j's squared ||p,t||_min equals
+// SqrtLtThreshold(d_p), so sqrt of it is < d_p and the lane counts as
+// mn < d_p both in the S-group test and in the case-2 scan. Each scene
+// must reject; counting the lane as mn >= d_p would let case 4 accept
+// through user i's role tile (the tested tile itself).
+//  - Scene 1, d_o > d_p: every S group is non-empty (the rejection at
+//    once); user k's far tile empties its T group, which would pass case 3.
+//  - Scene 2, d_o <= d_p: the tie lane has mx > d_p (the case-2 scan's
+//    hit); user k's small tile has mx <= d_p.
+TEST(DecisionOrderTest, SGroupAtSqrtLtThresholdIsNonEmpty) {
+  // u + v and (u + v) - v == u are exact, so user j's tile starts exactly
+  // u to the right of p and user i's tile s ends exactly v to its left.
+  const double u = 1.5;
+  const double v = u + std::ldexp(1.0, -51);
+  const double a = u + v;
+  struct Scene {
+    Point po;
+    Point k_user;
+    double k_delta;
+    Path want;
+  };
+  const Scene scenes[] = {{{1.5, 0.5}, {3, 2.5}, 4.0, kImmediateReject},
+                          {{-0.5, 0.5}, {0.25, 0.25}, 0.5, kCase2Scan}};
+  for (const Scene& scene : scenes) {
+    // s = [-1,0] x [0,1] for user i; t = [a,a+1] x [-1,0] for user j.
+    const std::vector<Point> users = {{-0.5, 0.5}, {a + 0.5, -0.5},
+                                      scene.k_user};
+    const double deltas[] = {1.0, 1.0, scene.k_delta};
+    std::vector<TileRegion> regions;
+    for (size_t j = 0; j < users.size(); ++j) {
+      regions.emplace_back(users[j], deltas[j]);
+      regions.back().Add(GridTile{0, 0, 0});
+    }
+    ASSERT_EQ(regions[1].rects()[0].lo.x, a);
+    TileSnapshot snap(regions, users, scene.po);
+    const Rect s = snap.region(0).TileRect(GridTile{0, 0, 0});
+    const TileLanes lanes{&snap, s.MaxDist(scene.po)};
+    MaxGtVerifier gt;
+    // Raise p above t's top edge until the tie holds: p.y adds p.y^2 to
+    // t's squared distance and nothing to s's.
+    bool tied = false;
+    for (int k = 1; k < 4096 && !tied; ++k) {
+      const Point p{v, k * std::ldexp(1.0, -36)};
+      const Candidate cand = snap.Intern(static_cast<uint32_t>(k), p);
+      const double d_p = s.MinDist(p);
+      ASSERT_EQ(d_p, std::sqrt(v * v));
+      if (snap.min_mn2(cand.slot)[1] != SqrtLtThreshold(d_p)) continue;
+      tied = true;
+      ASSERT_LT(snap.region(1).MinDist(p), d_p);
+      const std::vector<Path> paths = ClassifyCall(snap, 0, s, p);
+      ASSERT_FALSE(paths.empty());
+      EXPECT_EQ(paths.back(), scene.want) << kPathNames[scene.want];
+      VerifyStats ref_stats, lane_stats;
+      EXPECT_FALSE(gt.VerifyTileThreadSafe(snap.regions(), 0, s, cand,
+                                           scene.po, &ref_stats));
+      EXPECT_FALSE(gt.VerifyTileLanes(lanes, 0, s, cand, &lane_stats));
+      EXPECT_EQ(ref_stats.calls, lane_stats.calls);
+      EXPECT_EQ(ref_stats.accepted, lane_stats.accepted);
+    }
+    EXPECT_TRUE(tied) << kPathNames[scene.want];
+  }
 }
 
 }  // namespace

@@ -7,9 +7,9 @@
 // leave them untouched, and an intentional behaviour change updates them in
 // the same commit with a note saying why.
 //
-// Each case also runs under the scalar lane fold and on the packed index,
-// which must reproduce the same pins (the kernel ISA and the index layout
-// are not part of the result).
+// Each case also runs on the packed index and under a memory budget small
+// enough to spill every idle session, which must reproduce the same pins
+// (the index layout and spilling are not part of the result).
 #include <gtest/gtest.h>
 
 #include <cctype>
@@ -20,7 +20,6 @@
 
 #include "engine/engine.h"
 #include "index/packed_rtree.h"
-#include "mpn/tile_verify.h"
 #include "traj/generators.h"
 #include "util/rng.h"
 
@@ -69,10 +68,15 @@ struct Pins {
   uint64_t retrievals, candidates_total, rejected_by_buffer;
 };
 
-Pins RunCase(SpatialIndex tree, Method method, Objective obj) {
+// A one-byte cap: every session the budget may evict gets spilled.
+constexpr size_t kSpillEverything = 1;
+
+Pins RunCase(SpatialIndex tree, Method method, Objective obj,
+             size_t budget_bytes = 0) {
   const World& w = GoldenWorld();
   EngineOptions opt;
   opt.threads = 2;
+  opt.budget.bytes_cap = budget_bytes;
   opt.sim.server.method = method;
   opt.sim.server.objective = obj;
   opt.sim.server.alpha = 12;
@@ -86,6 +90,9 @@ Pins RunCase(SpatialIndex tree, Method method, Objective obj) {
     engine.AddSession(group);
   }
   engine.Run();
+  if (budget_bytes > 0) {
+    EXPECT_GT(engine.memory_stats().spilled_sessions, 0u) << "nothing spilled";
+  }
   const SimMetrics t = engine.TotalMetrics();
   return Pins{engine.ResultDigest(),
               t.updates,
@@ -136,8 +143,6 @@ std::string CaseName(const testing::TestParamInfo<GoldenCase>& info) {
 
 class GoldenDigestTest : public testing::TestWithParam<GoldenCase> {
  protected:
-  void TearDown() override { SetLaneIsaForTesting(nullptr); }
-
   void ExpectPinned(const Pins& got, const char* variant) {
     EXPECT_EQ(Render(got), Render(GetParam().want))
         << variant << ": pinned results moved";
@@ -146,12 +151,12 @@ class GoldenDigestTest : public testing::TestWithParam<GoldenCase> {
 
 TEST_P(GoldenDigestTest, MatchesPinnedResults) {
   const GoldenCase& c = GetParam();
-  ExpectPinned(RunCase(&GoldenWorld().tree, c.method, c.obj), "default ISA");
-  SetLaneIsaForTesting("scalar");
-  ExpectPinned(RunCase(&GoldenWorld().tree, c.method, c.obj), "scalar ISA");
-  SetLaneIsaForTesting(nullptr);
+  ExpectPinned(RunCase(&GoldenWorld().tree, c.method, c.obj), "dynamic index");
   ExpectPinned(RunCase(&GoldenWorld().packed, c.method, c.obj),
                "packed index");
+  ExpectPinned(
+      RunCase(&GoldenWorld().tree, c.method, c.obj, kSpillEverything),
+      "spilling budget");
 }
 
 // Pinned values; see the file comment before changing any of them.
