@@ -53,8 +53,10 @@
 // scripts/check_baselines.py matches it exactly, so a result change shows
 // up in the baseline diff even where the `deterministic` column (equality
 // within one run) stays "yes".
+#include <algorithm>
 #include <atomic>
 #include <chrono>
+#include <cmath>
 #include <cstdio>
 #include <cstring>
 #include <string>
@@ -364,7 +366,12 @@ void RunRecoveryTable(const std::vector<Point>& pois, const RTree& tree,
 // are bit-identical by construction, so the digests — which fold every
 // verify/candidate counter — must match; soa_speedup is the median over
 // kRepeats scalar/soa pairs of the wall-clock ratio scalar/soa, and the
-// seconds columns are the medians of each side.
+// seconds columns are the medians of each side, per engine. One engine of
+// the small rows runs for only 10-20 ms, where host noise and cache state
+// dominate the ratio, so each timed sample runs enough engines back to back
+// to last at least kMinSampleSeconds on the faster (SoA) side.
+constexpr double kMinSampleSeconds = 0.1;
+
 void RunKernelTable(const std::vector<Point>& pois, const RTree& tree,
                     const std::vector<std::vector<const Trajectory*>>& groups,
                     const std::vector<size_t>& group_counts,
@@ -376,22 +383,30 @@ void RunKernelTable(const std::vector<Point>& pois, const RTree& tree,
   ServerConfig soa_cfg = server;
   soa_cfg.kernel = KernelKind::kSoA;
   for (size_t n_groups : group_counts) {
+    // Untimed calibration run (it also warms the caches and allocator).
+    const RunResult first =
+        RunEngineOnce(pois, tree, groups, n_groups, 1, false, soa_cfg);
+    const int engines = static_cast<int>(
+        std::ceil(kMinSampleSeconds / std::max(first.seconds, 1e-4)));
     std::vector<double> scalar_s, soa_s, ratio;
-    RunResult first;
     bool identical = true;
+    const auto sample = [&](const ServerConfig& cfg) {
+      double seconds = 0.0;
+      for (int e = 0; e < engines; ++e) {
+        const RunResult r =
+            RunEngineOnce(pois, tree, groups, n_groups, 1, false, cfg);
+        identical = identical && r.digest == first.digest &&
+                    r.verify_calls == first.verify_calls;
+        seconds += r.seconds;
+      }
+      return seconds;
+    };
     for (int rep = 0; rep < kRepeats; ++rep) {
-      const RunResult rs =
-          RunEngineOnce(pois, tree, groups, n_groups, 1, false, scalar_cfg);
-      const RunResult rv =
-          RunEngineOnce(pois, tree, groups, n_groups, 1, false, soa_cfg);
-      if (rep == 0) first = rv;
-      identical = identical && rs.digest == first.digest &&
-                  rv.digest == first.digest &&
-                  rs.verify_calls == first.verify_calls &&
-                  rv.verify_calls == first.verify_calls;
-      scalar_s.push_back(rs.seconds);
-      soa_s.push_back(rv.seconds);
-      ratio.push_back(rv.seconds > 0.0 ? rs.seconds / rv.seconds : 1.0);
+      const double scalar = sample(scalar_cfg);
+      const double soa = sample(soa_cfg);
+      scalar_s.push_back(scalar / engines);
+      soa_s.push_back(soa / engines);
+      ratio.push_back(soa > 0.0 ? scalar / soa : 1.0);
     }
     table.AddRow({std::to_string(n_groups),
                   FormatDouble(Quantile(scalar_s, 0.5), 3),

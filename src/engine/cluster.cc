@@ -121,7 +121,6 @@ int WorkerMain(IpcChannel* ch, IpcChannel* hb,
           tuning.recompute_cost_factor = r.GetDouble();
           tuning.retire_at = static_cast<size_t>(r.GetU64());
           tuning.mailbox_capacity = static_cast<size_t>(r.GetU64());
-          tuning.mailbox_policy = static_cast<MailboxPolicy>(r.GetU8());
           const uint32_t m = r.GetU32();
           std::vector<Trajectory> trajs(m);
           for (uint32_t i = 0; i < m; ++i) {
@@ -172,7 +171,6 @@ int WorkerMain(IpcChannel* ch, IpcChannel* hb,
                   out.PutU32(fr.po);
                   out.PutU64(fr.mailbox_peak);
                   out.PutU64(fr.stall_count);
-                  out.PutU64(fr.dropped_count);
                 });
           }
           const std::vector<Scheduler::Slot> slots = engine.timeline_slots();
@@ -277,7 +275,6 @@ uint32_t ClusterEngine::AdmitSession(
   frame.PutDouble(tuning.recompute_cost_factor);
   frame.PutU64(static_cast<uint64_t>(tuning.retire_at));
   frame.PutU64(static_cast<uint64_t>(tuning.mailbox_capacity));
-  frame.PutU8(static_cast<uint8_t>(tuning.mailbox_policy));
   frame.PutU32(static_cast<uint32_t>(group.size()));
   for (const Trajectory* t : group) {
     MPN_ASSERT(t != nullptr);
@@ -691,7 +688,6 @@ void ClusterEngine::ParseDrainReply(size_t shard,
     res.po = r.GetU32();
     res.mailbox_peak = r.GetU64();
     res.stalls = r.GetU64();
-    res.dropped = r.GetU64();
   }
   // Effective slot totals = dead incarnations' drained history + this
   // incarnation's recomputed timeline (commutative per-slot sums, so the
@@ -880,10 +876,6 @@ size_t ClusterEngine::session_mailbox_peak(uint32_t id) const {
 
 size_t ClusterEngine::session_stall_count(uint32_t id) const {
   return static_cast<size_t>(ResultChecked(id).stalls);
-}
-
-size_t ClusterEngine::session_dropped_count(uint32_t id) const {
-  return static_cast<size_t>(ResultChecked(id).dropped);
 }
 
 SimMetrics ClusterEngine::TotalMetrics() const {

@@ -188,7 +188,7 @@ class ClusterEngine {
 
   /// Deterministically truncates session `id`'s horizon at `at_timestamp`
   /// (see Engine::RetireSession; Engine::kRetireNow asks for the next
-  /// event boundary instead, which is wall-clock dependent). Recorded in
+  /// tick instead, which is wall-clock dependent). Recorded in
   /// the recovery snapshot, so replayed sessions retire identically —
   /// and delivered *inside* the admit frame when recorded before the
   /// session's admission ships (pre-Start, or before a recovery replay):
@@ -231,7 +231,6 @@ class ClusterEngine {
   bool session_has_result(uint32_t id) const;
   size_t session_mailbox_peak(uint32_t id) const;
   size_t session_stall_count(uint32_t id) const;
-  size_t session_dropped_count(uint32_t id) const;
 
   /// Merged metrics across all sessions (valid after Wait).
   SimMetrics TotalMetrics() const;
@@ -347,7 +346,6 @@ class ClusterEngine {
     uint32_t po = 0;
     uint64_t mailbox_peak = 0;
     uint64_t stalls = 0;
-    uint64_t dropped = 0;
   };
 
   /// Coordinator-side snapshot of one session: everything needed to

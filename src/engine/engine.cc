@@ -153,6 +153,7 @@ void Engine::Wait() {
   }
   scheduler_->WaitIdle();
   RebuildRoundStats();
+  scheduler_->RethrowFailure();
 }
 
 void Engine::Shutdown() {
@@ -272,14 +273,6 @@ size_t Engine::session_stall_count(uint32_t id) const {
       FindChecked(id),
       [&stalls](const SessionFinalResult& fr) { stalls = fr.stall_count; });
   return stalls;
-}
-
-size_t Engine::session_dropped_count(uint32_t id) const {
-  size_t dropped = 0;
-  store_->WithResult(
-      FindChecked(id),
-      [&dropped](const SessionFinalResult& fr) { dropped = fr.dropped_count; });
-  return dropped;
 }
 
 void Engine::WithSessionResult(

@@ -154,8 +154,8 @@ class Engine {
   /// Stops session `id` before it advances to timestamp `at` (a
   /// deterministic truncation of its horizon — same digest on every thread
   /// count if `at` is set before the session reaches it, e.g. via
-  /// SessionTuning::retire_at at admission). kRetireNow stops it at the
-  /// next event boundary instead, which is wall-clock dependent.
+  /// SessionTuning::retire_at at admission). kRetireNow stops it before
+  /// its next tick instead, which is wall-clock dependent.
   /// Already-processed timestamps are unaffected; the session keeps its
   /// metrics and digest contribution. Callable from any thread.
   void RetireSession(uint32_t id, size_t at_timestamp = kRetireNow);
@@ -173,6 +173,10 @@ class Engine {
   /// after Wait() returns and drained by another Wait(), so a worker built
   /// on the engine is a long-lived server rather than a one-shot drain.
   /// Results (digest, metrics, stats) are valid after every Wait().
+  /// Throws std::runtime_error when a session failed (an exception in its
+  /// event, its recomputation or the spill work after it — e.g. spill
+  /// I/O): the message names the failed session ids and the first error.
+  /// The other sessions still ran to completion.
   void Wait();
 
   /// Wait() + permanently stop serving: AdmitSession afterwards is a hard
@@ -204,10 +208,6 @@ class Engine {
   /// GroupSession::mailbox_peak / stall_count).
   size_t session_mailbox_peak(uint32_t id) const;
   size_t session_stall_count(uint32_t id) const;
-
-  /// Buffered updates session `id` dropped (and later force-recomputed)
-  /// under MailboxPolicy::kDropOldest (see GroupSession::dropped_count).
-  size_t session_dropped_count(uint32_t id) const;
 
   /// Wall-clock completion stamps of session `id`'s advances (seconds
   /// since Start); consecutive gaps are the per-session round latencies.

@@ -1,7 +1,10 @@
 #include "engine/scheduler.h"
 
+#include <algorithm>
 #include <cstdlib>
 #include <memory>
+#include <stdexcept>
+#include <string>
 #include <utility>
 
 #include "engine/session_store.h"
@@ -47,6 +50,42 @@ void Scheduler::Release() {
   if (--holds_ == 0 && outstanding_ == 0) idle_cv_.notify_all();
 }
 
+void Scheduler::FailLocked(SessionRecord* r, std::exception_ptr error) {
+  if (r->failed) return;  // one entry per session
+  r->failed = true;
+  std::lock_guard<std::mutex> lock(stats_mu_);
+  failed_ids_.push_back(r->id);
+  if (!first_error_) first_error_ = error;
+}
+
+void Scheduler::RethrowFailure() const {
+  std::vector<uint32_t> ids;
+  std::exception_ptr first;
+  {
+    std::lock_guard<std::mutex> lock(stats_mu_);
+    ids = failed_ids_;
+    first = first_error_;
+  }
+  if (ids.empty()) return;
+  std::sort(ids.begin(), ids.end());
+  std::string msg = "engine: " + std::to_string(ids.size()) +
+                    " session(s) failed (ids";
+  constexpr size_t kListed = 16;
+  for (size_t i = 0; i < ids.size() && i < kListed; ++i) {
+    msg += " " + std::to_string(ids[i]);
+  }
+  if (ids.size() > kListed) msg += " ...";
+  msg += "): ";
+  try {
+    std::rethrow_exception(first);
+  } catch (const std::exception& e) {
+    msg += e.what();
+  } catch (...) {
+    msg += "non-standard exception";
+  }
+  throw std::runtime_error(msg);
+}
+
 std::vector<Scheduler::Slot> Scheduler::SnapshotSlots() const {
   std::lock_guard<std::mutex> lock(stats_mu_);
   return slots_;
@@ -71,7 +110,9 @@ void Scheduler::ScheduleEventLocked(SessionRecord* r, uint64_t priority) {
 
 void Scheduler::ScheduleNextLocked(SessionRecord* r) {
   if (!started()) return;
-  if (r->finalized || r->event_queued || r->event_running) return;
+  if (r->failed || r->finalized || r->event_queued || r->event_running) {
+    return;
+  }
   if (r->spilled) {
     // A spilled session is idle by construction (no job in flight, no
     // pending result, not done — spill eligibility): arm its next tick
@@ -124,15 +165,40 @@ void Scheduler::FinalizeLocked(SessionRecord* r) {
 
 void Scheduler::RunEvent(SessionRecord* r) {
   events_processed_.fetch_add(1, std::memory_order_relaxed);
+  bool ran = false;
+  try {
+    ran = RunSteps(r);
+  } catch (...) {
+    std::lock_guard<std::mutex> lock(r->mu);
+    r->event_running = false;
+    FailLocked(r, std::current_exception());
+  }
+  // Re-account the (grown) session and spill whatever the budget no
+  // longer covers. After the flags settle, outside every lock. The
+  // session's next event may already be running, so a failure here only
+  // marks the session; that event's own flags are left alone.
+  if (ran && store_ != nullptr) {
+    try {
+      store_->OnEventDone(r);
+    } catch (...) {
+      std::lock_guard<std::mutex> lock(r->mu);
+      FailLocked(r, std::current_exception());
+    }
+  }
+  SubOutstanding();
+}
+
+bool Scheduler::RunSteps(SessionRecord* r) {
   bool do_install = false;
   bool awaiting = false;
   GroupSession::RecomputeOutcome outcome;
   {
     std::lock_guard<std::mutex> lock(r->mu);
+    r->event_queued = false;
+    if (r->failed) return false;
+    r->event_running = true;
     // The event may belong to a spilled session — bring it back first.
     if (store_ != nullptr) store_->EnsureResidentLocked(r);
-    r->event_queued = false;
-    r->event_running = true;
     if (r->result_ready) {
       do_install = true;
       outcome = std::move(r->outcome);
@@ -154,21 +220,20 @@ void Scheduler::RunEvent(SessionRecord* r) {
   GroupSession::Snapshot snap;
   if (do_install) {
     s->InstallResult(std::move(outcome));
-    for (;;) {
-      const GroupSession::Replay rr = s->ReplayOne(&snap);
-      if (rr == GroupSession::Replay::kViolation) {
-        post_job = true;
-        break;
-      }
-      if (rr == GroupSession::Replay::kEmpty) break;
+    GroupSession::Replay rr;
+    do {
+      rr = s->ReplayOne(&snap);
+    } while (rr == GroupSession::Replay::kClean);
+    post_job = rr == GroupSession::Replay::kViolation;
+    // A clean replay leaves the session on the fast path: its next tick
+    // would be queued at (next_t, id), so it competes for the turn.
+    if (!post_job && KeepsTurn(*s, r->id)) {
+      post_job = AdvanceWhileFirst(r, s, &snap);
     }
   } else if (awaiting) {
-    // The event was queued as a buffer tick; room may have vanished if a
-    // retirement truncated the horizon meanwhile.
-    if (s->CanBuffer()) s->BufferAdvance();
-  } else if (!s->AdvancesExhausted()) {
-    MPN_ASSERT(s->MailboxEmpty());
-    post_job = s->AdvanceAndCheck(&snap);
+    BufferWhileFirst(r, s);
+  } else {
+    post_job = AdvanceWhileFirst(r, s, &snap);
   }
 
   {
@@ -179,10 +244,30 @@ void Scheduler::RunEvent(SessionRecord* r) {
     ScheduleNextLocked(r);
   }
   if (post_job) PostJob(r, std::move(snap));
-  // Re-account the (grown) session and spill whatever the budget no
-  // longer covers. After the flags settle, outside every lock.
-  if (store_ != nullptr) store_->OnEventDone(r);
-  SubOutstanding();
+  return true;
+}
+
+bool Scheduler::AdvanceWhileFirst(SessionRecord* r, GroupSession* s,
+                                  GroupSession::Snapshot* snap) {
+  // Retirement is atomic and may truncate the horizon mid-batch, so
+  // AdvancesExhausted is re-read before every tick.
+  while (!s->AdvancesExhausted()) {
+    if (s->AdvanceAndCheck(snap)) return true;
+    if (!KeepsTurn(*s, r->id)) return false;
+  }
+  return false;
+}
+
+void Scheduler::BufferWhileFirst(SessionRecord* r, GroupSession* s) {
+  // CanBuffer is checked before the first tick too: room may have vanished
+  // if a retirement truncated the horizon while the event waited.
+  while (s->CanBuffer()) {
+    s->BufferAdvance();
+    if (!KeepsTurn(*s, r->id)) return;
+    // The landed result's install would be queued below every tick.
+    std::lock_guard<std::mutex> lock(r->mu);
+    if (r->result_ready) return;
+  }
 }
 
 void Scheduler::PostJob(SessionRecord* r, GroupSession::Snapshot snap) {
@@ -191,11 +276,16 @@ void Scheduler::PostJob(SessionRecord* r, GroupSession::Snapshot snap) {
   // shared_ptr because std::function requires copyable callables.
   auto shared = std::make_shared<GroupSession::Snapshot>(std::move(snap));
   pool_->Post(
-      [r, shared]() {
-        GroupSession::RecomputeOutcome outcome =
-            r->session->Recompute(*shared);
-        std::lock_guard<std::mutex> lock(r->mu);
-        r->outcome = std::move(outcome);
+      [this, r, shared]() {
+        try {
+          GroupSession::RecomputeOutcome outcome =
+              r->session->Recompute(*shared);
+          std::lock_guard<std::mutex> lock(r->mu);
+          r->outcome = std::move(outcome);
+        } catch (...) {
+          std::lock_guard<std::mutex> lock(r->mu);
+          FailLocked(r, std::current_exception());
+        }
       },
       priority,
       /*on_complete=*/[this, r]() { OnJobDone(r); });
@@ -205,7 +295,7 @@ void Scheduler::OnJobDone(SessionRecord* r) {
   {
     std::lock_guard<std::mutex> lock(r->mu);
     r->job_running = false;
-    r->result_ready = true;
+    r->result_ready = !r->failed;
     ScheduleNextLocked(r);
   }
   SubOutstanding();

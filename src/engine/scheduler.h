@@ -7,16 +7,31 @@
 // ready min-heap. A lagging session therefore delays only itself; everyone
 // else keeps draining their own timelines.
 //
-// Per session, exactly one *event* (tick / buffer tick / install+replay)
-// executes at a time; re-arming is a chain — each event schedules the
-// session's next step as it completes. A safe-region violation posts the
-// expensive recomputation as an async pool job and the session leaves the
-// ready queue; while the job runs, location updates keep landing through
-// buffer-tick events into the session's bounded mailbox. The job's
-// completion callback re-arms the session: the next event installs the
-// fresh regions and replays the mailbox. The recomputation job is the only
-// session work that may run concurrently with a session event (it touches
-// only server state — see group_session.h).
+// Per session, at most one *event* executes at a time; re-arming is a
+// chain — each event schedules the session's next step as it completes.
+// An event starts with the step it was queued for (tick / buffer tick /
+// install+replay) and then keeps taking the session's following ticks for
+// as long as the next one would still be the first task the pool pops:
+// the loop stops as soon as ThreadPool::LowestWaitingPriority() is at or
+// below the next tick's priority, so a batch only skips the post-then-pop
+// round trip that would have picked this same session anyway, and the
+// dispatch order is the per-tick one. It also stops at a violation, at
+// the (possibly just retired) horizon, once a pending recomputation
+// result is ready, and at the crash-injection timestamp. A safe-region
+// violation posts the expensive recomputation as an async pool job and
+// the session leaves the ready queue; while the job runs, location updates
+// keep landing through buffer-tick events into the session's bounded
+// mailbox. The job's completion callback re-arms the session: the next
+// event installs the fresh regions, replays the mailbox and, when the
+// replay finds no violation, carries on ticking. The recomputation job is
+// the only session work that may run concurrently with a session event (it
+// touches only server state — see group_session.h).
+//
+// Failures: an exception from an event, from the store work after it or
+// from a recomputation job marks its session failed. The scheduler stops
+// re-arming that session, every other session runs to completion, and
+// RethrowFailure (called by Engine::Wait) reports the failed ids with the
+// first error.
 //
 // Determinism: the scheduler fixes *which* logical step a session runs
 // next, never the wall-clock interleaving across sessions — and a
@@ -30,6 +45,7 @@
 #include <condition_variable>
 #include <cstddef>
 #include <cstdint>
+#include <exception>
 #include <mutex>
 #include <vector>
 
@@ -54,7 +70,8 @@ class Scheduler {
 
   /// Crash-injection test hook (cluster recovery harness): the process
   /// calls std::_Exit the first time any session's event fires while that
-  /// session is about to advance to virtual timestamp >= `t` — a
+  /// session is about to advance to virtual timestamp >= `t` (a batch of
+  /// ticks stops short of `t`, so the next event fires the crash) — a
   /// deterministic-in-virtual-time worker death for EngineOptions::
   /// crash_at_timestamp / MPN_CRASH_PLAN. Must be set before Start (no
   /// synchronization). SIZE_MAX (the default) disables the hook.
@@ -77,7 +94,8 @@ class Scheduler {
   /// True after Start().
   bool started() const { return started_.load(std::memory_order_acquire); }
 
-  /// Monotone count of session events dispatched so far — a cheap
+  /// Monotone count of session events dispatched so far (one per event,
+  /// however many ticks it ran) — a cheap
   /// liveness signal: a worker whose scheduler is making progress keeps
   /// incrementing this, one that is wedged does not. Read concurrently by
   /// the cluster worker's heartbeat responder thread.
@@ -94,6 +112,10 @@ class Scheduler {
   /// outstanding. With `ignore_holds`, returns as soon as the work drains
   /// (engine destruction path).
   void WaitIdle(bool ignore_holds = false);
+
+  /// Throws std::runtime_error naming every session that failed so far
+  /// and the first failure's message; no-op when none failed.
+  void RethrowFailure() const;
 
   /// A hold keeps WaitIdle from returning while mid-run admissions are
   /// still coming (otherwise the engine could drain and stop between two
@@ -129,6 +151,27 @@ class Scheduler {
   }
 
   void RunEvent(SessionRecord* r);
+  /// The event body. Returns false when the session had already failed
+  /// (the event is then a no-op).
+  bool RunSteps(SessionRecord* r);
+  /// Ticks the session on the fast path until a violation (true, `snap`
+  /// filled for the recomputation) or until it gives up its turn (false).
+  /// The first tick runs unconditionally: the caller holds the turn.
+  bool AdvanceWhileFirst(SessionRecord* r, GroupSession* s,
+                         GroupSession::Snapshot* snap);
+  /// Buffers location updates while a recomputation is in flight, until
+  /// the mailbox is full, the result is ready, or the turn is over.
+  void BufferWhileFirst(SessionRecord* r, GroupSession* s);
+  /// True when the session may take its next tick inside the running
+  /// event: that tick is still the pool's next pick and not the
+  /// crash-injection timestamp.
+  bool KeepsTurn(const GroupSession& s, uint32_t id) const {
+    const size_t t = s.next_timestamp();
+    return t < crash_at_timestamp_ &&
+           pool_->LowestWaitingPriority() > EventPriority(t, id);
+  }
+  /// Marks `r` failed (caller holds r->mu) and records the error.
+  void FailLocked(SessionRecord* r, std::exception_ptr error);
   void PostJob(SessionRecord* r, GroupSession::Snapshot snap);
   void OnJobDone(SessionRecord* r);
   /// Decides and schedules the session's next step. Caller holds r->mu.
@@ -154,6 +197,8 @@ class Scheduler {
 
   mutable std::mutex stats_mu_;
   std::vector<Slot> slots_;
+  std::vector<uint32_t> failed_ids_;   ///< stats_mu_
+  std::exception_ptr first_error_;     ///< stats_mu_
 };
 
 }  // namespace mpn

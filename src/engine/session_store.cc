@@ -152,7 +152,6 @@ void SessionStore::WithResult(
     tmp.po = s.current_po();
     tmp.mailbox_peak = s.mailbox_peak();
     tmp.stall_count = s.stall_count();
-    tmp.dropped_count = s.dropped_count();
     tmp.advance_seconds = s.advance_seconds();
     fn(tmp);
     return;
@@ -174,7 +173,6 @@ void SessionStore::WithResult(
   tmp.po = state.current_po;
   tmp.mailbox_peak = state.mailbox_peak;
   tmp.stall_count = state.stall_count;
-  tmp.dropped_count = state.dropped_count;
   // Processed prefix only — the tail of a live session's trace is still
   // zero, and the mid-run readers (drain, digest) never consume it.
   tmp.advance_seconds = std::move(state.advance_at);
@@ -213,9 +211,10 @@ void SessionStore::Rebalance() {
 void SessionStore::SpillIfEligibleLocked(SessionRecord* r) {
   if (r->spilled || r->accessor_pinned) return;
   WireBuffer buf;
-  if (r->final_result != nullptr) {
+  const bool live = r->final_result == nullptr;
+  size_t next_t = 0;
+  if (!live) {
     EncodeFinalSession(*r->final_result, &buf);
-    r->final_result.reset();
   } else if (r->session != nullptr && !r->event_running && !r->job_running &&
              !r->result_ready && !r->finalized && !r->session->done() &&
              r->session->MailboxEmpty()) {
@@ -223,14 +222,12 @@ void SessionStore::SpillIfEligibleLocked(SessionRecord* r) {
     // session. Under the flags above the mailbox is provably empty and no
     // recomputation is in flight, so ExportState is a clean boundary.
     const GroupSession::State state = r->session->ExportState();
-    r->cached_next_t = state.next_t;
+    next_t = state.next_t;
     EncodeLiveSession(state, &buf);
-    r->session.reset();
   } else {
     // Popped but no longer eligible; it re-registers via OnEventDone.
     return;
   }
-  r->spilled = true;
   size_t offset = 0;
   size_t capacity = 0;
   {
@@ -239,7 +236,22 @@ void SessionStore::SpillIfEligibleLocked(SessionRecord* r) {
     offset = AllocExtentLocked(buf.size(), &capacity);
   }
   // The extent is exclusively ours: positioned write needs no lock.
-  WriteExtent(offset, buf.data());
+  try {
+    WriteExtent(offset, buf.data());
+  } catch (...) {
+    std::lock_guard<std::mutex> sl(mu_);
+    FreeExtentLocked(offset, capacity);
+    throw;
+  }
+  // Only a written snapshot may replace the in-memory state: a failed
+  // spill leaves the victim resident and intact.
+  if (live) {
+    r->cached_next_t = next_t;
+    r->session.reset();
+  } else {
+    r->final_result.reset();
+  }
+  r->spilled = true;
   r->spill_offset = offset;
   r->spill_length = buf.size();
   r->spill_capacity = capacity;

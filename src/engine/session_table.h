@@ -68,6 +68,9 @@ struct SessionRecord {
   bool job_running = false;    ///< an async recomputation is in flight
   bool result_ready = false;   ///< `outcome` holds a finished recomputation
   bool finalized = false;      ///< Finish() ran; stats folded
+  /// An event or job of this session threw; the scheduler never re-arms
+  /// it and Engine::Wait rethrows (see Scheduler::RethrowFailure).
+  bool failed = false;
   GroupSession::RecomputeOutcome outcome;  ///< valid while result_ready
 
   // --- session-store state (guarded by mu like the flags) ---------------

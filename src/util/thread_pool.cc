@@ -46,6 +46,7 @@ void ThreadPool::Post(std::function<void()> fn, uint64_t priority,
     MPN_ASSERT_MSG(!stop_, "Post on a stopped ThreadPool");
     queue_.push(Task{priority, next_seq_++, std::move(fn),
                      std::move(on_complete)});
+    PublishLowestLocked();
   }
   cv_.notify_one();
 }
@@ -61,6 +62,7 @@ void ThreadPool::WorkerLoop() {
       // moving out of it is safe.
       task = std::move(const_cast<Task&>(queue_.top()));
       queue_.pop();
+      PublishLowestLocked();
     }
     task.fn();
     if (task.on_complete) task.on_complete();

@@ -7,7 +7,8 @@
 //    run in submission order). The optional completion callback fires on
 //    the worker right after the task body — the event-driven scheduler uses
 //    it to re-arm a session when its async recomputation lands. Task bodies
-//    must not throw (there is no future to carry the exception).
+//    must not throw (there is no future to carry the exception); the
+//    scheduler catches inside its own tasks.
 //  * Submit(fn)     — enqueues a task at the default priority and returns a
 //    std::future for its result; exceptions thrown by the task propagate
 //    through the future.
@@ -21,8 +22,13 @@
 //    every worker is busy: a saturated pool degrades to the caller running
 //    all chunks inline. Helper tasks run at kUrgentPriority so a fan-out
 //    issued from inside a running job is never starved by queued events.
+//
+// LowestWaitingPriority() is a lock-free peek at the ready queue's top: the
+// scheduler uses it to keep running a session while that session's next
+// event would be the very next task popped anyway.
 #pragma once
 
+#include <atomic>
 #include <condition_variable>
 #include <cstddef>
 #include <cstdint>
@@ -74,6 +80,14 @@ class ThreadPool {
   void Post(std::function<void()> fn, uint64_t priority = kDefaultPriority,
             std::function<void()> on_complete = nullptr);
 
+  /// Priority of the task the next free worker would pop, or UINT64_MAX
+  /// when nothing waits. A copy of the heap top refreshed under the queue
+  /// lock on every push and pop and read without it, so it may be stale by
+  /// the time the caller acts on it — a scheduling hint, never a guard.
+  uint64_t LowestWaitingPriority() const {
+    return lowest_waiting_.load(std::memory_order_relaxed);
+  }
+
   /// Enqueues `fn` at the default priority and returns a future for its
   /// result. Exceptions thrown by the task are rethrown by future::get.
   template <typename F>
@@ -121,6 +135,11 @@ class ThreadPool {
   };
 
   void WorkerLoop();
+  /// Republishes the heap top's priority. Caller holds mu_.
+  void PublishLowestLocked() {
+    lowest_waiting_.store(queue_.empty() ? UINT64_MAX : queue_.top().priority,
+                          std::memory_order_relaxed);
+  }
   /// Claims and runs chunks until none remain. Returns once every chunk is
   /// claimed (not necessarily finished).
   static void DrainChunks(const std::shared_ptr<ForState>& state);
@@ -131,6 +150,7 @@ class ThreadPool {
   std::mutex mu_;
   std::condition_variable cv_;
   bool stop_ = false;
+  std::atomic<uint64_t> lowest_waiting_{UINT64_MAX};
 };
 
 }  // namespace mpn

@@ -89,9 +89,8 @@ TEST(CrashPlanTest, ParsesShardTimestampPairsAndConsumesFifoPerShard) {
 TEST(ClusterRecoveryTest, KilledWorkerRecoversWithBitIdenticalDigest) {
   const size_t kGroups = 6;
   const World w = MakeWorld(250, kGroups, 100, 0xEC0001);
-  SessionTuning drop;
-  drop.mailbox_capacity = 1;
-  drop.mailbox_policy = MailboxPolicy::kDropOldest;
+  SessionTuning tiny_mailbox;
+  tiny_mailbox.mailbox_capacity = 1;
   // Group 1's retirement rides in the tuning: a live RetireSession(1, 30)
   // issued while the run is in flight races the session's virtual clock
   // (the request only stops *future* advances), so on a loaded machine —
@@ -105,7 +104,7 @@ TEST(ClusterRecoveryTest, KilledWorkerRecoversWithBitIdenticalDigest) {
   retire30.retire_at = 30;
   const auto tuning_of = [&](size_t g) {
     if (g == 1) return retire30;
-    return g == 2 ? drop : SessionTuning();
+    return g == 2 ? tiny_mailbox : SessionTuning();
   };
 
   // Uninterrupted single-process reference (destroyed before any fork).

@@ -1,14 +1,14 @@
 // Deterministic lifecycle fuzzer (ctest label `unit`): seeded random
-// schedules of admit / retire / recompute-cost / mailbox-capacity /
-// mailbox-policy churn, replayed at 1/2/4 threads and at 1/2/4 process
+// schedules of admit / retire / recompute-cost / mailbox-capacity
+// churn, replayed at 1/2/4 threads and at 1/2/4 process
 // shards — with seeded worker crashes AND transport faults (0-2 each:
 // short I/O, EINTR storms, frame corruption/truncation, stalls, resets,
 // over a seed-chosen byte backend) injected into the cluster replays —
 // asserting digest bit-identity on every seed.
 //
 // Each seed derives (a) a small world and (b) a plan: sessions with random
-// tunings (mailbox capacity incl. 0, drop-oldest mailboxes, deterministic
-// retire_at truncations, wall-clock-only recompute padding), assigned to
+// tunings (mailbox capacity incl. 0, deterministic retire_at
+// truncations, wall-clock-only recompute padding), assigned to
 // admission waves that are drained by serving-loop Wait() calls, plus
 // deterministic pre-start RetireSession truncations, 0–2 crash events
 // (shard slot, virtual kill timestamp) armed via KillWorkerAt and 0–2

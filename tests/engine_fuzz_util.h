@@ -125,11 +125,6 @@ inline FuzzPlan MakeFuzzPlan(Rng* rng, size_t n_groups, size_t horizon) {
     s.tuning.mailbox_capacity =
         capacities[static_cast<size_t>(rng->UniformInt(0, 3))];
     if (rng->Bernoulli(0.3)) {
-      // Drop-oldest backpressure: overflowing payloads are dropped and
-      // force-recomputed at replay — a digest no-op by construction.
-      s.tuning.mailbox_policy = MailboxPolicy::kDropOldest;
-    }
-    if (rng->Bernoulli(0.3)) {
       // Deterministic retirement churn: truncated horizon at admission.
       s.tuning.retire_at = static_cast<size_t>(
           rng->UniformInt(0, static_cast<int64_t>(horizon)));

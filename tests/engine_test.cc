@@ -7,6 +7,7 @@
 #include <atomic>
 #include <mutex>
 #include <stdexcept>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -643,46 +644,116 @@ TEST(EngineMailboxStatsTest, CapacityOneReportsStallsWithoutChangingDigest) {
   EXPECT_NE(table.find("mailbox_stalls/session"), std::string::npos);
 }
 
-TEST(EngineMailboxStatsTest, DropOldestAtCapacityOneIsDigestNeutral) {
-  // Drop-oldest backpressure discards the oldest buffered payload on
-  // overflow and force-recomputes it from the source trajectories at
-  // replay — so every timestamp is still checked in order, and the digest
-  // must match the blocking policy bit-for-bit at every thread count. The
-  // session must also never stall: drops replace backpressure entirely.
-  const World w = MakeWorld(200, 2, 100, 0x5E74);
-  uint64_t block_digest = 0;
+// --- Quiet-tick batching ---------------------------------------------------
+
+TEST(EngineBatchingTest, BudgetedSingleThreadRunsQuietTicksInOneEvent) {
+  // A budget switches the ready order to id-major, so a lone worker finds
+  // the running session first in the queue until it violates: its quiet
+  // ticks share one event instead of one pool round trip each. The
+  // batching must not move a single result.
+  const size_t kGroups = 6;
+  const size_t kTimestamps = 200;
+  const World w = MakeWorld(300, kGroups, kTimestamps, 0xBA7C4);
+  const auto admit_all = [&w](Engine* engine) {
+    for (size_t g = 0; g < kGroups; ++g) {
+      engine->AdmitSession({&w.trajs[3 * g], &w.trajs[3 * g + 1],
+                            &w.trajs[3 * g + 2]});
+    }
+  };
+  Engine plain(&w.pois, &w.tree, MakeEngineOptions(1, false));
+  admit_all(&plain);
+  plain.Run();
+
+  EngineOptions opt = MakeEngineOptions(1, false);
+  opt.budget.bytes_cap = 16 * 1024;
+  Engine budgeted(&w.pois, &w.tree, opt);
+  admit_all(&budgeted);
+  budgeted.Run();
+  EXPECT_EQ(budgeted.ResultDigest(), plain.ResultDigest());
+  EXPECT_GT(budgeted.memory_stats().spilled_sessions, 0u);
+  const uint64_t ticks = budgeted.TotalMetrics().timestamps;
+  EXPECT_EQ(ticks, kGroups * kTimestamps);
+  EXPECT_LT(budgeted.events_processed(), ticks / 2)
+      << "quiet ticks were not batched";
+}
+
+TEST(EngineBatchingTest, MidRunRetireStillCutsAtItsTimestamp) {
+  // Retirement is re-read before every tick of a batch, so a live
+  // RetireSession(id, at) issued before the session reaches `at` cuts it
+  // exactly there — the same digest as a retire_at set at admission.
+  // One worker, id-major order and a padded session 0 keep session 1 from
+  // starting before the retire lands.
+  const World w = MakeWorld(300, 2, 150, 0x4E71E);
+  EngineOptions opt = MakeEngineOptions(1, false);
+  opt.budget.bytes_cap = size_t{1} << 30;  // id-major order, no spilling
+  SessionTuning slow;
+  slow.recompute_cost_factor = 20.0;
+  uint64_t reference = 0;
   {
-    Engine engine(&w.pois, &w.tree, MakeEngineOptions(2, false));
-    SessionTuning blocking;
-    blocking.mailbox_capacity = 1;
-    blocking.recompute_cost_factor = 3.0;  // widen the buffering window
-    engine.AdmitSession({&w.trajs[0], &w.trajs[1], &w.trajs[2]}, blocking);
-    engine.AdmitSession({&w.trajs[3], &w.trajs[4], &w.trajs[5]}, blocking);
+    Engine engine(&w.pois, &w.tree, opt);
+    SessionTuning cut;
+    cut.retire_at = 40;
+    engine.AdmitSession({&w.trajs[0], &w.trajs[1], &w.trajs[2]});
+    engine.AdmitSession({&w.trajs[3], &w.trajs[4], &w.trajs[5]}, cut);
     engine.Run();
-    block_digest = engine.ResultDigest();
+    reference = engine.ResultDigest();
+    EXPECT_EQ(engine.session_metrics(1).timestamps, 40u);
   }
-  bool saw_drop = false;
-  for (size_t threads : {1u, 4u}) {
-    Engine engine(&w.pois, &w.tree, MakeEngineOptions(threads, false));
-    SessionTuning dropping;
-    dropping.mailbox_capacity = 1;
-    dropping.mailbox_policy = MailboxPolicy::kDropOldest;
-    dropping.recompute_cost_factor = 3.0;
-    engine.AdmitSession({&w.trajs[0], &w.trajs[1], &w.trajs[2]}, dropping);
-    engine.AdmitSession({&w.trajs[3], &w.trajs[4], &w.trajs[5]}, dropping);
-    engine.Run();
-    EXPECT_EQ(engine.ResultDigest(), block_digest)
-        << "drop-oldest moved the digest (threads=" << threads << ")";
-    for (uint32_t id = 0; id < 2; ++id) {
-      EXPECT_EQ(engine.session_stall_count(id), 0u)
-          << "drop-oldest must never stall (session " << id << ")";
-      saw_drop = saw_drop || engine.session_dropped_count(id) > 0;
+  Engine engine(&w.pois, &w.tree, opt);
+  engine.AdmitSession({&w.trajs[0], &w.trajs[1], &w.trajs[2]}, slow);
+  engine.AdmitSession({&w.trajs[3], &w.trajs[4], &w.trajs[5]});
+  engine.Start();
+  engine.RetireSession(1, 40);
+  engine.Shutdown();
+  EXPECT_EQ(engine.session_metrics(0).timestamps, 150u);
+  EXPECT_EQ(engine.session_metrics(1).timestamps, 40u);
+  EXPECT_EQ(engine.ResultDigest(), reference);
+}
+
+// --- Failures surface as errors ----------------------------------------------
+
+TEST(EngineFailureTest, SpillFailureFailsTheRunWithAnError) {
+  // A spill file that cannot be created throws inside a pool task (the
+  // store work after an event). The session is marked failed instead of
+  // terminating the process, the rest drain, Run() rethrows naming the
+  // failed sessions, and the engine still destructs cleanly.
+  const World w = MakeWorld(250, 4, 80, 0xFA11ED);
+  const auto admit_all = [&w](Engine* engine) {
+    for (size_t g = 0; g < 4; ++g) {
+      engine->AdmitSession({&w.trajs[3 * g], &w.trajs[3 * g + 1],
+                            &w.trajs[3 * g + 2]});
+    }
+  };
+  // Size the cap to hold the admitted sessions but not their growth once
+  // regions are installed: admission must not spill (it would throw on
+  // the caller's thread), the run must.
+  size_t admitted_bytes = 0;
+  {
+    EngineOptions opt = MakeEngineOptions(1, false);
+    opt.budget.bytes_cap = size_t{1} << 30;
+    Engine probe(&w.pois, &w.tree, opt);
+    admit_all(&probe);
+    admitted_bytes = probe.memory_stats().resident_bytes;
+    probe.Run();
+    ASSERT_GT(probe.memory_stats().peak_resident_bytes, admitted_bytes);
+  }
+  for (size_t threads : {1u, 2u}) {
+    SCOPED_TRACE("threads=" + std::to_string(threads));
+    EngineOptions opt = MakeEngineOptions(threads, false);
+    opt.budget.bytes_cap = admitted_bytes;
+    opt.budget.spill_dir = "/nonexistent-mpn-spill-dir";
+    Engine engine(&w.pois, &w.tree, opt);
+    admit_all(&engine);
+    try {
+      engine.Run();
+      ADD_FAILURE() << "Run() returned despite a failing spill";
+    } catch (const std::runtime_error& e) {
+      const std::string what = e.what();
+      EXPECT_NE(what.find("cannot create spill file"), std::string::npos)
+          << what;
+      EXPECT_NE(what.find("session(s) failed"), std::string::npos) << what;
     }
   }
-  // With multi-thread runs and 10x recompute padding at capacity 1, at
-  // least one run must actually have overflowed — otherwise the policy
-  // was never exercised and the digest check is vacuous.
-  EXPECT_TRUE(saw_drop);
 }
 
 // --- 64-group integration run (labeled `integration` in ctest) --------------

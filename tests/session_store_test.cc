@@ -195,7 +195,6 @@ TEST(SessionCodecTest, FinalSnapshotRoundTripIsExact) {
   fr.po = 0xDEADBEEF;
   fr.mailbox_peak = 7;
   fr.stall_count = 3;
-  fr.dropped_count = 2;
   fr.advance_seconds = {0.0, -0.0, kDenormal, PayloadNan(), 1.5e-300};
   WireBuffer out;
   EncodeFinalSession(fr, &out);
@@ -208,7 +207,6 @@ TEST(SessionCodecTest, FinalSnapshotRoundTripIsExact) {
   EXPECT_EQ(back.po, 0xDEADBEEFu);
   EXPECT_EQ(back.mailbox_peak, 7u);
   EXPECT_EQ(back.stall_count, 3u);
-  EXPECT_EQ(back.dropped_count, 2u);
   ASSERT_EQ(back.advance_seconds.size(), fr.advance_seconds.size());
   for (size_t i = 0; i < fr.advance_seconds.size(); ++i) {
     EXPECT_SAME_BITS(fr.advance_seconds[i], back.advance_seconds[i]);
@@ -223,7 +221,6 @@ TEST(SessionCodecTest, LiveSnapshotRoundTripIsExact) {
   s.current_po = 42;
   s.mailbox_peak = 2;
   s.stall_count = 1;
-  s.dropped_count = 0;
   s.metrics = MakeOddMetrics();
   s.server.compute_seconds = kDenormal;
   s.server.recompute_count = 9;
@@ -256,7 +253,6 @@ TEST(SessionCodecTest, LiveSnapshotRoundTripIsExact) {
   EXPECT_EQ(back.current_po, 42u);
   EXPECT_EQ(back.mailbox_peak, 2u);
   EXPECT_EQ(back.stall_count, 1u);
-  EXPECT_EQ(back.dropped_count, 0u);
   ExpectMetricsEqual(s.metrics, back.metrics);
   EXPECT_SAME_BITS(s.server.compute_seconds, back.server.compute_seconds);
   EXPECT_EQ(back.server.recompute_count, 9u);
@@ -460,8 +456,6 @@ TEST(SessionStoreTest, PerSessionAccessorsMatchUnbudgetedRun) {
     EXPECT_EQ(budgeted.session_has_result(id), base.session_has_result(id));
     EXPECT_EQ(budgeted.session_mailbox_peak(id), base.session_mailbox_peak(id));
     EXPECT_EQ(budgeted.session_stall_count(id), base.session_stall_count(id));
-    EXPECT_EQ(budgeted.session_dropped_count(id),
-              base.session_dropped_count(id));
     // By-reference accessors (rehydrate + pin). The advance trace holds
     // wall-clock timings — only its shape is comparable across runs, but
     // serving it at all proves the pinned rehydration path works.

@@ -1,15 +1,23 @@
 // Utility substrate tests: RNG determinism and distributional sanity,
-// streaming statistics, quantiles, and table formatting.
+// streaming statistics, quantiles, table formatting, and the thread pool's
+// ready-queue peek.
 #include <gtest/gtest.h>
 
+#include <atomic>
+#include <chrono>
 #include <cmath>
+#include <condition_variable>
+#include <cstdint>
 #include <cstdio>
 #include <fstream>
+#include <mutex>
 #include <set>
+#include <thread>
 
 #include "util/rng.h"
 #include "util/stats.h"
 #include "util/table.h"
+#include "util/thread_pool.h"
 #include "util/timer.h"
 
 namespace mpn {
@@ -191,6 +199,49 @@ TEST(TimeAccumulatorTest, ScopesAccumulate) {
   EXPECT_GT(acc.TotalSeconds(), first);
   acc.Reset();
   EXPECT_DOUBLE_EQ(acc.TotalSeconds(), 0.0);
+}
+
+TEST(ThreadPoolPeekTest, LowestWaitingPriorityTracksTheQueueTop) {
+  ThreadPool pool(1);
+  EXPECT_EQ(pool.LowestWaitingPriority(), UINT64_MAX);  // idle
+
+  // Park the only worker so later posts wait in the queue.
+  std::mutex mu;
+  std::condition_variable cv;
+  bool started = false;
+  bool gate_open = false;
+  pool.Post([&]() {
+    std::unique_lock<std::mutex> lock(mu);
+    started = true;
+    cv.notify_all();
+    cv.wait(lock, [&]() { return gate_open; });
+  });
+  {
+    std::unique_lock<std::mutex> lock(mu);
+    cv.wait(lock, [&]() { return started; });
+  }
+  // The running gate task was popped: nothing waits yet.
+  EXPECT_EQ(pool.LowestWaitingPriority(), UINT64_MAX);
+
+  std::atomic<int> ran{0};
+  pool.Post([&ran]() { ++ran; }, 9);
+  EXPECT_EQ(pool.LowestWaitingPriority(), 9u);
+  pool.Post([&ran]() { ++ran; }, 3);
+  EXPECT_EQ(pool.LowestWaitingPriority(), 3u);
+  pool.Post([&ran]() { ++ran; }, 5);
+  EXPECT_EQ(pool.LowestWaitingPriority(), 3u);  // the min, not the newest
+
+  {
+    std::lock_guard<std::mutex> lock(mu);
+    gate_open = true;
+  }
+  cv.notify_all();
+  // Each task is popped before it runs, so once all three ran the peek
+  // has seen the queue empty again.
+  while (ran.load() < 3) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  EXPECT_EQ(pool.LowestWaitingPriority(), UINT64_MAX);
 }
 
 }  // namespace
